@@ -31,6 +31,26 @@ from repro.harness.sweep import SweepPoint
 PreflightFn = Callable[..., "RunRecord | None"]
 
 
+def _device_diagnostics(
+    app, dev: DeviceSpec, point: SweepPoint, site: str | None
+) -> list[Diagnostic]:
+    """The device-aware rules over the point's lowered regions — every rule
+    that can prune (HPAC020/023/025/030) lives here."""
+    import repro.analysis.rules  # noqa: F401 — registers RULES
+
+    try:
+        regions = app.build_regions(
+            point.technique, level=point.level, site=site, **point.params
+        )
+    except ReproError as exc:
+        return [RULES["HPAC030"].diag(f"{type(exc).__name__}: {exc}")]
+    # The OpenMP layer launches blocks of the app's default num_threads
+    # rounded up to a warp multiple (repro.openmp.runtime.target_teams);
+    # predict against the same geometry the simulator will use.
+    tpb = round_up(app.default_num_threads, dev.warp_size)
+    return lint_regions(regions, dev, tpb)
+
+
 def preflight_diagnostics(
     app_name: str,
     device: str | DeviceSpec,
@@ -44,7 +64,6 @@ def preflight_diagnostics(
     from repro.analysis.rules.dataflow import lint_dataflow
     from repro.apps import get_benchmark
 
-    dev = get_device(device)
     app = get_benchmark(app_name, problem=(problems or {}).get(app_name))
     # Static half of ApproxSan: contract text vs SiteInfo widths (HPAC21x).
     # Never preflight-pruning — a bad contract doesn't make the point
@@ -54,17 +73,7 @@ def preflight_diagnostics(
     # contract-dataflow walk over the app's launch plan (HPAC213/214,
     # silent when no plan is declared).
     diags = lint_contracts(app) + lint_baseline(app) + lint_dataflow(app)
-    try:
-        regions = app.build_regions(
-            point.technique, level=point.level, site=site, **point.params
-        )
-    except ReproError as exc:
-        return diags + [RULES["HPAC030"].diag(f"{type(exc).__name__}: {exc}")]
-    # The OpenMP layer launches blocks of the app's default num_threads
-    # rounded up to a warp multiple (repro.openmp.runtime.target_teams);
-    # predict against the same geometry the simulator will use.
-    tpb = round_up(app.default_num_threads, dev.warp_size)
-    return diags + lint_regions(regions, dev, tpb)
+    return diags + _device_diagnostics(app, get_device(device), point, site)
 
 
 def preflight_point(
@@ -74,12 +83,19 @@ def preflight_point(
     site: str | None = None,
     problems: dict | None = None,
 ) -> RunRecord | None:
-    """Infeasible record for a statically doomed point, else ``None``."""
-    diags = preflight_diagnostics(
-        app_name, device, point, site=site, problems=problems
-    )
+    """Infeasible record for a statically doomed point, else ``None``.
+
+    Runs only the rules that can prune — the device rules over the lowered
+    regions — and skips the contract, baseline and dataflow lints that
+    :func:`preflight_diagnostics` adds for ``lint`` / ``sanitize``: they
+    never prune, and re-running them per point dominated a sweep's
+    preflight cost."""
+    from repro.apps import get_benchmark
+
+    dev = get_device(device)
+    app = get_benchmark(app_name, problem=(problems or {}).get(app_name))
     blockers = [
-        d for d in diags
+        d for d in _device_diagnostics(app, dev, point, site)
         if d.severity is Severity.ERROR and RULES[d.code].preflight
     ]
     if not blockers:
@@ -87,7 +103,7 @@ def preflight_point(
     d = blockers[0]
     return RunRecord(
         app=app_name,
-        device=get_device(device).name,
+        device=dev.name,
         technique=point.technique,
         params=dict(point.params),
         level=point.level,

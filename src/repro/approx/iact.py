@@ -37,6 +37,10 @@ from repro.approx.replacement import make_policy
 from repro.errors import UnsupportedApproximationError
 from repro.gpusim.context import GridContext
 
+#: Write-phase election sentinel: no candidate lane (built once: ``np.iinfo``
+#: is costly on a per-call path).
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass
 class IACTState:
@@ -396,9 +400,9 @@ def iact_invoke(
             np.equal(score, gathered, out=cand)
             np.logical_and(accurate, cand, out=cand)
             winner = arena.buf("iact_winner", (ntab,), np.int64)
-            winner.fill(np.iinfo(np.int64).max)
+            winner.fill(_INT64_MAX)
             lane_masked = arena.buf("iact_lanem", lanes, np.int64)
-            lane_masked.fill(np.iinfo(np.int64).max)
+            lane_masked.fill(_INT64_MAX)
             np.copyto(lane_masked, lane_idx, where=cand)
             np.minimum.at(winner, tid, lane_masked)
             wgather = arena.buf("iact_wing", lanes, np.int64)
@@ -411,7 +415,7 @@ def iact_invoke(
             best = np.full(ntab, -np.inf)
             np.maximum.at(best, tid[accurate], score[accurate])
             cand = np.logical_and(accurate, score == best[tid])
-            winner = np.full(ntab, np.iinfo(np.int64).max, dtype=np.int64)
+            winner = np.full(ntab, _INT64_MAX, dtype=np.int64)
             np.minimum.at(winner, tid[cand], lane_idx[cand])
             writer = np.logical_and(cand, lane_idx == winner[tid])
         ctx._charge_intrinsic(float(np.log2(ctx.warp_size)), m)  # election scan

@@ -12,6 +12,7 @@ from repro.harness.batch import (
     BatchJob,
     BatchReport,
     BatchStream,
+    Completion,
     EngineStats,
     EngineStream,
     StreamSession,
@@ -53,6 +54,7 @@ __all__ = [
     "BatchReport",
     "BatchStream",
     "CheckpointWriter",
+    "Completion",
     "EngineStats",
     "EngineStream",
     "ExperimentRunner",

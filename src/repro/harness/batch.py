@@ -21,8 +21,9 @@ instead of seeing records as chunks landed.  This revision removes both:
   identical by construction.
 * :class:`StreamSession` is the incremental variant — ``put()`` one job at
   a time, consume results in submission order while later jobs evaluate —
-  feeding the steady-state evolutionary search, and the seam where the
-  ROADMAP's distributed work-stealing queue will plug in.
+  feeding the steady-state evolutionary search; in completion order it
+  feeds the dependency-driven pruned sweep
+  (:func:`repro.harness.pruning.run_sweep_pruned`).
 
 Execution policy (workers, chunking, checkpoint, retries, progress,
 preflight, sanitize, baseline sharing, idle TTL) lives in one frozen
@@ -37,7 +38,6 @@ the old behaviour exactly.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -54,7 +54,7 @@ from repro.harness.config import (
     resolve_config,
 )
 from repro.harness.database import CheckpointWriter, ResultsDB
-from repro.harness.reporting import SweepProgress, format_progress
+from repro.harness.reporting import SweepProgress, progress_callback
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
 
@@ -618,15 +618,7 @@ class BatchStream:
                 if pair in pairs:
                     self._group_baselines.setdefault(pair, {})[cache_key] = result
 
-        if cfg.progress is True:
-            def report_progress(p: SweepProgress) -> None:
-                print(format_progress(p), file=sys.stderr)
-
-            self._report_progress = report_progress
-        elif callable(cfg.progress):
-            self._report_progress = cfg.progress
-        else:
-            self._report_progress = None
+        self._report_progress = progress_callback(cfg.progress)
 
         self._writer = (
             CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
@@ -1135,9 +1127,13 @@ class BatchEngine:
         """Evaluate ``jobs``, returning one record per job in job order."""
         return self.submit(jobs).records()
 
-    def open_stream(self, *, config: SweepConfig | None = None) -> "StreamSession":
+    def open_stream(
+        self, *, config: SweepConfig | None = None, completion_order: bool = False
+    ) -> "StreamSession":
         """Open an incremental submit/consume session on this engine."""
-        return StreamSession(self, config=config)
+        return StreamSession(
+            self, config=config, completion_order=completion_order
+        )
 
     def run_sweep(
         self,
@@ -1278,30 +1274,58 @@ class EngineStream:
             self._inner = None
 
 
-class StreamSession:
-    """Incremental submit-one / consume-in-order session on an engine.
+@dataclass(frozen=True)
+class Completion:
+    """One settled ticket of a completion-order :class:`StreamSession`."""
 
-    :meth:`put` enqueues one :class:`BatchJob` and returns its integer
-    ticket; iteration yields ``(ticket, record)`` strictly in ticket
-    order, buffering out-of-order completions, while later tickets keep
-    evaluating on the engine's persistent pool.  Because consumption order
-    is submission order — not completion order — an algorithm that decides
-    its next submission from consumed results (the steady-state
-    evolutionary search) behaves identically at any worker count.
+    ticket: int
+    record: RunRecord
+    #: How the record was obtained: ``"run"`` (simulated by this session),
+    #: ``"cache"`` (engine record cache), ``"variant"`` (variant cache), or
+    #: ``"preflight"`` (statically infeasible, never simulated).
+    origin: str
+
+
+class StreamSession:
+    """Incremental submit / consume session on an engine.
+
+    :meth:`put` enqueues one :class:`BatchJob` (:meth:`put_chunk` several,
+    dispatched as one pool chunk) and returns its integer ticket, while
+    earlier tickets keep evaluating on the engine's persistent pool.  Two
+    consumption modes, fixed at construction:
+
+    * ticket order (default): iteration yields ``(ticket, record)``
+      strictly in ticket order, buffering out-of-order completions.
+      Because consumption order is submission order — not completion
+      order — an algorithm that decides its next submission from consumed
+      results (the steady-state evolutionary search) behaves identically
+      at any worker count.
+    * completion order (``completion_order=True``): :meth:`next_completed`
+      returns each ticket's :class:`Completion` as soon as it settles —
+      the feed of dependency-driven schedulers (the pruned sweep), which
+      keep :attr:`capacity` chunks :attr:`inflight` so no worker idles.
 
     With a serial engine (``workers <= 1``) evaluation happens lazily on
-    consumption, in the same order, producing identical records.  The
-    session shares the engine's record cache, baseline cache, and crash
-    respawn policy; results stream into ``config.checkpoint`` when set
-    (the file is *written*, not consulted — the engine cache is the
-    in-session dedupe).  This is the interface the ROADMAP's distributed
-    work-stealing queue will implement.
+    consumption, in submission order, producing identical records.  The
+    session shares the engine's record cache, baseline cache, variant
+    cache, static preflight, and crash respawn policy; results stream into
+    ``config.checkpoint`` when set (the file is *written*, not consulted —
+    the engine cache is the in-session dedupe).
     """
 
-    def __init__(self, engine: BatchEngine, *, config: SweepConfig | None = None):
+    def __init__(
+        self,
+        engine: BatchEngine,
+        *,
+        config: SweepConfig | None = None,
+        completion_order: bool = False,
+    ):
         self._engine = engine
+        self._t0 = time.monotonic()
         self._cfg = engine.config.merged(config)
+        self._completion_order = completion_order
         self._records: dict[int, RunRecord] = {}
+        self._completed: deque[Completion] = deque()
         self._next_ticket = 0
         self._next_out = 0
         self._futures: dict = {}
@@ -1309,6 +1333,20 @@ class StreamSession:
         self._key_tickets: dict[tuple, list[int]] = {}
         self._vkeys: dict[tuple, str] = {}
         self._respawns_left = MAX_POOL_RESPAWNS
+        self._chunker = AdaptiveChunker(
+            target_seconds=self._cfg.target_chunk_seconds
+        )
+        pre = self._cfg.preflight
+        if pre is True:
+            from repro.analysis.preflight import make_preflight
+
+            pre = make_preflight(engine.runner.problems)
+        self._preflight = pre or None
+        self._vcache = engine.variant_cache
+        if self._vcache is None and self._cfg.variant_cache is not None:
+            from repro.harness.pruning import resolve_variant_cache
+
+            self._vcache = resolve_variant_cache(self._cfg.variant_cache)
         self._writer = (
             CheckpointWriter(self._cfg.checkpoint)
             if self._cfg.checkpoint is not None else None
@@ -1321,117 +1359,171 @@ class StreamSession:
         self._closed = False
 
     # -- submission -----------------------------------------------------
+    @property
+    def capacity(self) -> int:
+        """Chunks worth keeping in flight: one per pool worker plus one
+        queued, so a worker finishing a chunk starts the next without a
+        round trip through the parent (1 in-process)."""
+        pool = self._engine.pool
+        return pool.max_workers + 1 if pool is not None else 1
+
+    @property
+    def inflight(self) -> int:
+        """Chunks dispatched (or queued in-process) and not yet settled."""
+        return len(self._futures) + len(self._queue)
+
+    def chunk_size(self, ready: int, group=None) -> int:
+        """Points for the next chunk when ``ready`` points wait: spread
+        them over the free slots, within ``config.chunk_size`` or the
+        adaptive size for ``group`` (always 1 in-process, where chunking
+        buys nothing and delays feedback)."""
+        if self._engine.pool is None:
+            return 1
+        idle = max(1, self.capacity - self.inflight)
+        cap = self._cfg.chunk_size or self._chunker.next_size(group)
+        return max(1, min(-(-ready // idle), cap))
+
     def put(self, job: BatchJob) -> int:
-        """Enqueue one job; returns its ticket (yield order is ticket order)."""
+        """Enqueue one job; returns its ticket."""
+        return self.put_chunk([job])[0]
+
+    def put_chunk(self, jobs: list[BatchJob]) -> list[int]:
+        """Enqueue ``jobs``; the ones needing simulation share one chunk.
+
+        Each job is resolved without simulating when it can be — engine
+        cache, a duplicate of an outstanding job, the static preflight,
+        the variant cache, in that order — and settles immediately."""
         if self._closed:
             raise RuntimeError("session is closed")
-        ticket = self._next_ticket
-        self._next_ticket += 1
         engine = self._engine
-        key = engine._key(job)
-        engine.stats.submitted += 1
-        if key in engine._cache:
-            engine.stats.cache_hits += 1
-            self._records[ticket] = engine._cache[key]
-            return ticket
-        if key in self._key_tickets:
-            engine.stats.deduped += 1
-            self._key_tickets[key].append(ticket)
-            return ticket
-        vcache = engine.variant_cache
-        if vcache is not None:
-            vkey = vcache.key_for(
-                job.app, job.device, job.point, site=job.site,
-                seed=engine.runner.seed, problem=engine.runner.problems,
-                sanitize=self._cfg.sanitize,
-            )
-            rec = vcache.get(vkey)
-            if rec is not None:
-                engine.stats.variant_hits += 1
-                engine._cache[key] = rec
-                if self._writer is not None:
-                    self._writer.write([rec])
-                self._records[ticket] = rec
-                return ticket
-            self._vkeys[key] = vkey
-        if engine.pool is None:
+        tickets: list[int] = []
+        chunk: list[tuple] = []
+        for job in jobs:
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            tickets.append(ticket)
+            key = engine._key(job)
+            engine.stats.submitted += 1
+            if key in engine._cache:
+                engine.stats.cache_hits += 1
+                self._deliver(ticket, engine._cache[key], "cache")
+                continue
+            if key in self._key_tickets:
+                engine.stats.deduped += 1
+                self._key_tickets[key].append(ticket)
+                continue
+            if self._preflight is not None:
+                rec = self._preflight(job.app, job.device, job.point, site=job.site)
+                if rec is not None:
+                    engine.stats.pruned += 1
+                    self._resolve(key, rec, [ticket], "preflight")
+                    continue
+            vcache = self._vcache
+            if vcache is not None:
+                vkey = vcache.key_for(
+                    job.app, job.device, job.point, site=job.site,
+                    seed=engine.runner.seed, problem=engine.runner.problems,
+                    sanitize=self._cfg.sanitize,
+                )
+                rec = vcache.get(vkey)
+                if rec is not None:
+                    engine.stats.variant_hits += 1
+                    self._resolve(key, rec, [ticket], "variant")
+                    continue
+                self._vkeys[key] = vkey
             self._key_tickets[key] = [ticket]
-            self._queue.append((key, job))
-        else:
-            self._key_tickets[key] = [ticket]
-            self._dispatch(key, job)
-        return ticket
+            chunk.append((key, job))
+        if chunk:
+            if engine.pool is None:
+                self._queue.append(chunk)
+            else:
+                self._dispatch(chunk)
+        return tickets
 
-    def _dispatch(self, key: tuple, job: BatchJob) -> None:
-        baselines = (
-            self._engine._baseline_entries(job.app, job.device)
-            if self._cfg.share_baselines else None
-        )
-        payload = [(job.app, job.device, job.point, job.site)]
+    def _dispatch(self, chunk: list[tuple]) -> None:
+        baselines = None
+        if self._cfg.share_baselines:
+            baselines = {}
+            for pair in dict.fromkeys((job.app, job.device) for _key, job in chunk):
+                baselines.update(self._engine._baseline_entries(*pair))
+        payload = [(job.app, job.device, job.point, job.site) for _key, job in chunk]
         try:
             fut = self._engine.pool.submit(
                 _run_batch_chunk, payload, self._cfg.retries,
                 baselines, self._cfg.sanitize,
             )
         except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
-            self._recover([(key, job)])
+            self._recover([chunk])
             return
-        self._futures[fut] = (key, job)
+        self._futures[fut] = chunk
 
     # -- completion -----------------------------------------------------
-    def _settle(self, key: tuple, record: RunRecord) -> None:
-        self._engine._cache[key] = record
-        self._engine.stats.executed += 1
-        vkey = self._vkeys.pop(key, None)
-        if (
-            vkey is not None
-            and self._engine.variant_cache is not None
-            and not (record.note or "").startswith(("WorkerError", "WorkerCrash"))
-        ):
-            self._engine.variant_cache.put(vkey, record)
-        if self._writer is not None:
-            self._writer.write([record])
-        for ticket in self._key_tickets.pop(key, []):
+    def _deliver(self, ticket: int, record: RunRecord, origin: str) -> None:
+        if self._completion_order:
+            self._completed.append(Completion(ticket, record, origin))
+        else:
             self._records[ticket] = record
 
-    def _recover(self, casualties: list[tuple]) -> None:
+    def _resolve(
+        self, key: tuple, record: RunRecord, tickets: list[int], origin: str
+    ) -> None:
+        self._engine._cache[key] = record
+        if self._writer is not None:
+            self._writer.write([record])
+        for ticket in tickets:
+            self._deliver(ticket, record, origin)
+
+    def _settle(self, key: tuple, record: RunRecord) -> None:
+        self._engine.stats.executed += 1
+        vkey = self._vkeys.pop(key, None)
+        if vkey is not None and not (record.note or "").startswith(
+            ("WorkerError", "WorkerCrash")
+        ):
+            self._vcache.put(vkey, record)
+        self._resolve(key, record, self._key_tickets.pop(key, []), "run")
+
+    def _recover(self, casualties: list[list]) -> None:
         casualties = casualties + list(self._futures.values())
         self._futures.clear()
         if self._respawns_left > 0:
             self._respawns_left -= 1
             self._engine.pool.respawn()
-            for key, job in casualties:
-                self._dispatch(key, job)
+            for chunk in casualties:
+                self._dispatch(chunk)
         else:
             why = (
                 f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
                 f"job abandoned"
             )
-            for key, job in casualties:
-                self._settle(key, _crash_record(job, why))
+            for chunk in casualties:
+                for key, job in chunk:
+                    self._settle(key, _crash_record(job, why))
 
     def _advance(self) -> None:
-        """Resolve at least one outstanding identity."""
+        """Resolve at least one outstanding chunk."""
         engine = self._engine
         if engine.pool is None:
-            key, job = self._queue.popleft()
-            record = run_point_with_retry(
-                engine.runner, job.app, job.device, job.point, site=job.site,
-                retries=self._cfg.retries, sanitize=self._cfg.sanitize,
-            )
-            self._settle(key, record)
+            for key, job in self._queue.popleft():
+                record = run_point_with_retry(
+                    engine.runner, job.app, job.device, job.point, site=job.site,
+                    retries=self._cfg.retries, sanitize=self._cfg.sanitize,
+                )
+                self._settle(key, record)
             return
         finished, _ = wait(self._futures, return_when=FIRST_COMPLETED)
         casualties = []
         for fut in finished:
-            key, job = self._futures.pop(fut)
+            chunk = self._futures.pop(fut)
             try:
-                records, _seconds, computes = fut.result()
+                records, seconds, computes = fut.result()
             except Exception:  # noqa: BLE001 — dead worker broke the pool
-                casualties.append((key, job))
+                casualties.append(chunk)
                 continue
             engine.stats.worker_baseline_runs += computes
-            self._settle(key, records[0])
+            key0, job0 = chunk[0]
+            self._chunker.observe((job0.app, key0[1]), len(chunk), seconds)
+            for (key, _job), record in zip(chunk, records):
+                self._settle(key, record)
         if casualties:
             self._recover(casualties)
 
@@ -1440,10 +1532,33 @@ class StreamSession:
         """Tickets submitted but not yet consumed."""
         return self._next_ticket - self._next_out
 
+    @property
+    def settled(self) -> int:
+        """Completion-order tickets settled and not yet returned."""
+        return len(self._completed)
+
+    def next_completed(self) -> Completion | None:
+        """The next settled ticket in completion order, blocking while work
+        is in flight; ``None`` once every ticket has been returned."""
+        if not self._completion_order:
+            raise RuntimeError("session consumes in ticket order")
+        try:
+            while not self._completed and self.inflight:
+                self._advance()
+        except BaseException:
+            self.close()
+            raise
+        if not self._completed:
+            return None
+        self._next_out += 1
+        return self._completed.popleft()
+
     def __iter__(self) -> Iterator[tuple[int, RunRecord]]:
         return self
 
     def __next__(self) -> tuple[int, RunRecord]:
+        if self._completion_order:
+            raise RuntimeError("session consumes in completion order")
         if self._next_out >= self._next_ticket:
             raise StopIteration
         try:
@@ -1472,6 +1587,7 @@ class StreamSession:
             self._engine.stats.baseline_runs += (
                 self._engine.runner.baseline_computes - self._serial_base0
             )
+        self._engine.stats.elapsed += time.monotonic() - self._t0
         self._engine._sync_pool_stats()
 
     def __enter__(self) -> "StreamSession":

@@ -179,6 +179,13 @@ class FileQueue:
                 heartbeat_at=now,
             )
             if create_exclusive(self._lease_path(candidate), lease.to_dict()):
+                if self.is_done(candidate):
+                    # A ``complete`` landed between our done check and the
+                    # create: it removed its lease just before ours
+                    # appeared.  Drop our lease (nobody can steal a fresh
+                    # one) rather than re-run a finished job.
+                    os.remove(self._lease_path(candidate))
+                    continue
                 return Claim(
                     job=candidate, payload=self.payload(candidate), lease=lease
                 )

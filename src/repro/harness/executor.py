@@ -142,10 +142,10 @@ def run_sweep_parallel(
     """
     cfg = resolve_config(config, "run_sweep_parallel", **legacy)
     if cfg.prune:
-        # Lattice pruning reorders evaluation into ancestor-first waves —
-        # a different driver entirely (see repro.harness.pruning).  The
-        # records of every point it does evaluate are byte-identical to
-        # this path's.
+        # Lattice pruning dispatches ancestor-first as dependencies
+        # resolve — a different driver entirely (see
+        # repro.harness.pruning).  The records of every point it does
+        # evaluate are byte-identical to this path's.
         if runner_factory is not None:
             raise ValueError(
                 "SweepConfig(prune=...) requires the stock runner; "

@@ -14,9 +14,10 @@ components exploit that structure:
   Points that agree on every non-aggressiveness parameter form a chain
   group; within a group, point *q* descends from *p* when *q*'s
   aggressiveness vector dominates *p*'s.  :func:`run_sweep_pruned`
-  evaluates the lattice in ancestor-first waves and, the moment a point's
-  error exceeds the bound, records every un-evaluated descendant as a
-  ``pruned`` checkpoint row naming the violating ancestor — the same
+  dispatches each point as soon as its ancestors are decided
+  (:class:`DataflowScheduler`) and, once a point's error exceeds the
+  bound, records every un-evaluated descendant as a ``pruned``
+  checkpoint row naming the violating ancestor — the same
   mechanism preflight uses for ``infeasible`` rows, so resume, merge, and
   :class:`~repro.harness.database.ResultsDB` work unchanged.
 * :class:`Surrogate` — a cheap incremental least-squares regressor of
@@ -53,6 +54,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB, _decode, _encode
+from repro.harness.reporting import SweepProgress, progress_callback
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import LEVEL_ORDER, SweepPoint, point_features
 
@@ -158,6 +160,7 @@ class SweepLattice:
             self._group_of[label] = key
         self._ancestors: dict[str, list[SweepPoint]] = {}
         self._descendants: dict[str, list[SweepPoint]] = {}
+        self._depth: dict[str, int] = {}
         for group in self._groups.values():
             for pt in group:
                 label = pt.label()
@@ -189,6 +192,14 @@ class SweepLattice:
     def descendants(self, point: SweepPoint) -> list[SweepPoint]:
         """Strictly more-aggressive points of the same group."""
         return self._descendants.get(point.label(), [])
+
+    def depth(self, point: SweepPoint) -> int:
+        """Lattice level: 0 for roots, else one past the deepest ancestor."""
+        label = point.label()
+        if label not in self._depth:
+            anc = self._ancestors.get(label, [])
+            self._depth[label] = 1 + max((self.depth(a) for a in anc), default=-1)
+        return self._depth[label]
 
     def roots(self) -> list[SweepPoint]:
         """Minimal (least aggressive) elements, in input order."""
@@ -462,6 +473,178 @@ def _violates(record: RunRecord, bound: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Dependency state of a pruned sweep
+# ---------------------------------------------------------------------------
+class DataflowScheduler:
+    """Which points of a pruned sweep are decided, ready, running or held.
+
+    A point *resolves* once every lattice ancestor is decided: if any
+    ancestor violates the bound it is decided on the spot as the
+    :func:`pruned_record` naming the least aggressive violator (the
+    subtree's original root); otherwise it joins :attr:`ready`, or takes
+    the record a speculative run already returned.  Because a point's
+    fate depends only on its ancestors' final records, never on the order
+    they arrived in, the decided records are the same at any worker count
+    and under any interleaving of completions.
+
+    :meth:`speculate` hands out an unresolved point for a worker that
+    would otherwise idle; its result is held until the point resolves and
+    discarded (counted in :attr:`discarded`) if an ancestor violates.
+    ``likely_violates`` (e.g. the surrogate's prediction) steers
+    speculation away from points below an ancestor expected to violate;
+    it affects only which work runs early, never a decided record.
+    """
+
+    def __init__(
+        self,
+        lattice: SweepLattice,
+        app: str,
+        device_name: str,
+        bound: float,
+        decided: dict[str, RunRecord],
+        likely_violates: Callable[[SweepPoint], bool] | None = None,
+    ) -> None:
+        self.lattice = lattice
+        self.bound = bound
+        self._likely_violates = likely_violates
+        self._app = app
+        self._dev = device_name
+        #: label -> final record (resumed rows included).
+        self.decided = decided
+        #: Resolved points awaiting dispatch, in dispatch order.
+        self.ready: list[SweepPoint] = []
+        #: True when points joined :attr:`ready` since :meth:`order_ready`.
+        self.ready_changed = False
+        #: (point, record) decided by this sweep, in decision order; the
+        #: driver drains it into the checkpoint.
+        self.fresh: list[tuple[SweepPoint, RunRecord]] = []
+        self.evaluated = self.preflight_pruned = 0
+        self.lattice_pruned = self.discarded = 0
+        #: Lattice levels holding a point decided by this sweep.
+        self.levels: set[int] = set()
+        self._running: set[str] = set()
+        self._held: dict[str, tuple[RunRecord, str]] = {}
+        self._open = [pt for pt in lattice.points if pt.label() not in decided]
+        self._waiting = {
+            pt.label(): sum(
+                1 for a in lattice.ancestors(pt) if a.label() not in decided
+            )
+            for pt in self._open
+        }
+        # Snapshot first: resolving one point can prune (and so resolve)
+        # descendants whose count only now reached zero.
+        for pt in [p for p in self._open if self._waiting[p.label()] == 0]:
+            self._resolve(pt)
+
+    @property
+    def done(self) -> bool:
+        return len(self.decided) >= len(self.lattice)
+
+    def order_ready(self, order: Callable[[list], list]) -> None:
+        """Re-rank :attr:`ready` with ``order`` (a permutation of it)."""
+        self.ready = order(self.ready)
+        self.ready_changed = False
+
+    def take(self, n: int) -> list[SweepPoint]:
+        """Pop the first ``n`` ready points for dispatch."""
+        out, self.ready = self.ready[:n], self.ready[n:]
+        self._running.update(pt.label() for pt in out)
+        return out
+
+    def speculate(self) -> SweepPoint | None:
+        """An unresolved point to run ahead of its ancestors — the one with
+        the fewest undecided ancestors, then input order — or None."""
+        self._open = [pt for pt in self._open if pt.label() not in self.decided]
+        best = None
+        for pt in self._open:
+            label = pt.label()
+            waiting = self._waiting[label]
+            if (
+                waiting == 0
+                or label in self._running
+                or label in self._held
+                or (best is not None and waiting >= best[0])
+                or self._violator(pt) is not None
+                or self._risky(pt)
+            ):
+                continue
+            best = (waiting, pt)
+        if best is None:
+            return None
+        self._running.add(best[1].label())
+        return best[1]
+
+    def complete(self, point: SweepPoint, record: RunRecord, origin: str) -> None:
+        """Absorb a dispatched point's record (``origin`` as reported by
+        :class:`~repro.harness.batch.Completion`)."""
+        label = point.label()
+        self._running.discard(label)
+        if label in self.decided:
+            # Pruned while its speculative run was in flight.
+            self.discarded += origin == "run"
+        elif self._waiting[label] == 0:
+            self._accept(point, record, origin)
+        else:
+            self._held[label] = (record, origin)
+
+    # -- internals ------------------------------------------------------
+    def _risky(self, point: SweepPoint) -> bool:
+        """An undecided ancestor is expected to violate the bound."""
+        return self._likely_violates is not None and any(
+            a.label() not in self.decided and self._likely_violates(a)
+            for a in self.lattice.ancestors(point)
+        )
+
+    def _violator(self, point: SweepPoint) -> SweepPoint | None:
+        """The least aggressive decided ancestor violating the bound."""
+        violators = [
+            a for a in self.lattice.ancestors(point)
+            if a.label() in self.decided
+            and _violates(self.decided[a.label()], self.bound)
+        ]
+        if not violators:
+            return None
+        return min(violators, key=lambda a: (self.lattice.vector(a), a.label()))
+
+    def _resolve(self, point: SweepPoint) -> None:
+        label = point.label()
+        root = self._violator(point)
+        if root is not None:
+            held = self._held.pop(label, None)
+            if held is not None:
+                self.discarded += held[1] == "run"
+            self.lattice_pruned += 1
+            self._decide(
+                point,
+                pruned_record(
+                    self._app, self._dev, point, root.label(),
+                    float(self.decided[root.label()].error), self.bound,
+                ),
+            )
+        elif label in self._held:
+            self._accept(point, *self._held.pop(label))
+        elif label not in self._running:
+            self.ready.append(point)
+            self.ready_changed = True
+
+    def _accept(self, point: SweepPoint, record: RunRecord, origin: str) -> None:
+        self.evaluated += origin == "run"
+        self.preflight_pruned += origin == "preflight"
+        self._decide(point, record)
+
+    def _decide(self, point: SweepPoint, record: RunRecord) -> None:
+        self.decided[point.label()] = record
+        self.fresh.append((point, record))
+        self.levels.add(self.lattice.depth(point))
+        for d in self.lattice.descendants(point):
+            label = d.label()
+            if label in self._waiting and label not in self.decided:
+                self._waiting[label] -= 1
+                if self._waiting[label] == 0:
+                    self._resolve(d)
+
+
+# ---------------------------------------------------------------------------
 # The pruned sweep driver
 # ---------------------------------------------------------------------------
 def run_sweep_pruned(
@@ -479,17 +662,24 @@ def run_sweep_pruned(
     ordering); returns the same :class:`~repro.harness.executor.SweepReport`
     shape as :func:`~repro.harness.executor.run_sweep_parallel`.
 
-    The lattice is evaluated in ancestor-first waves.  Before each wave,
-    every ready point with a bound-violating evaluated ancestor is recorded
-    as a ``pruned`` checkpoint row (never simulated); the surviving wave is
-    ordered by the surrogate when ``config.order`` is set and submitted
-    through a :class:`~repro.harness.batch.BatchEngine`.  Records for
-    evaluated points are byte-identical to the unpruned sweep's — pruning
-    only substitutes rows for points it skips.
+    Dispatch is dependency-driven (:class:`DataflowScheduler`) over one
+    completion-order :class:`~repro.harness.batch.StreamSession` on a
+    :class:`~repro.harness.batch.BatchEngine`: a point is submitted as soon
+    as every lattice ancestor is decided — or recorded as a ``pruned`` row
+    right away when one violates the bound — ready points are ordered by
+    the surrogate (or the ``config.order`` callable), and chunks are sized
+    to spread the ready points over the idle workers.  A worker that would
+    otherwise idle runs an undecided point speculatively; if an ancestor
+    then violates, that record is replaced by the ``pruned`` row and
+    counted in ``extra["speculative_discarded"]``, never in ``evaluated``.
+    Records are byte-identical to the unpruned sweep's for every point
+    evaluated, and identical at any worker count.
 
     ``config.checkpoint`` is managed *here* (loaded once for resume, each
-    decided row appended in wave order); waves run with the checkpoint
-    stripped from their config so the engine does not double-write.
+    decided row appended as it is decided — in completion order when
+    ``workers > 1``); the session runs with the checkpoint stripped so the
+    engine does not double-write.  ``extra["waves"]`` counts the lattice
+    levels this call resolved.
     """
     from repro.harness.batch import BatchEngine, BatchJob
     from repro.harness.executor import SweepReport
@@ -519,12 +709,15 @@ def run_sweep_pruned(
     writer = (
         CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
     )
-    # Waves run without the checkpoint (managed here) and without prune /
-    # order (pruning is this driver; ordering happens on the wave itself).
-    wave_cfg = cfg.replace(checkpoint=None, prune=False, order=False)
+    progress = progress_callback(cfg.progress)
+    # The session runs without the checkpoint and progress (both managed
+    # here) and without prune / order (this driver is both).
+    stream_cfg = cfg.replace(
+        checkpoint=None, prune=False, order=False, progress=False
+    )
     owned = engine is None
     if owned:
-        engine = BatchEngine(problems=problems, seed=seed, config=wave_cfg)
+        engine = BatchEngine(problems=problems, seed=seed, config=stream_cfg)
     variant_hits0 = engine.stats.variant_hits
 
     surrogate: Surrogate | None = None
@@ -532,81 +725,80 @@ def run_sweep_pruned(
         surrogate = Surrogate()
         surrogate.observe_records(decided.values())
 
-    evaluated = preflight_pruned = lattice_pruned = waves = 0
+    def order(ready: list[SweepPoint]) -> list[SweepPoint]:
+        if callable(cfg.order):
+            jobs = cfg.order([BatchJob(app, device, pt, site=site) for pt in ready])
+            return [job.point for job in jobs]
+        return surrogate.order(
+            ready,
+            bound=bound,
+            prune_weight=lambda p: 0.1 * len(lattice.descendants(p)),
+        )
+
+    sched = DataflowScheduler(
+        lattice, app, dev_name, bound, decided,
+        likely_violates=(
+            (lambda pt: surrogate.score(pt, bound) < 0.0)
+            if surrogate is not None else None
+        ),
+    )
+    total = len(unique) - skipped
+    feasible = 0
+
+    def flush() -> None:
+        nonlocal feasible
+        fresh, sched.fresh = sched.fresh, []
+        if not fresh:
+            return
+        if writer is not None:
+            writer.write([rec for _pt, rec in fresh])
+        for pt, rec in fresh:
+            feasible += rec.feasible
+            if surrogate is not None:
+                surrogate.observe(pt, rec)
+        if progress is not None:
+            done = len(decided) - skipped
+            progress(SweepProgress(
+                total=total, done=done, feasible=feasible,
+                infeasible=done - feasible, skipped=skipped,
+                elapsed=time.monotonic() - t0,
+            ))
+
+    session = engine.open_stream(config=stream_cfg, completion_order=True)
+    inflight: dict[int, SweepPoint] = {}
+    group = (app, dev_name)
     try:
         while True:
-            undecided = [
-                pt for label, pt in unique.items() if label not in decided
-            ]
-            if not undecided:
-                break
-            ready = [
-                pt
-                for pt in undecided
-                if all(
-                    a.label() in decided for a in lattice.ancestors(pt)
-                )
-            ]
-            if not ready:  # pragma: no cover - partial orders are acyclic
-                raise RuntimeError("pruned sweep stalled: no ready points")
-
-            wave: list[SweepPoint] = []
-            for pt in ready:
-                violators = [
-                    a
-                    for a in lattice.ancestors(pt)
-                    if _violates(decided[a.label()], bound)
-                ]
-                if violators:
-                    # Deterministic provenance: the least aggressive
-                    # violating ancestor — the subtree's original root.
-                    violators.sort(
-                        key=lambda a: (lattice.vector(a), a.label())
-                    )
-                    root = violators[0]
-                    rec = pruned_record(
-                        app,
-                        dev_name,
-                        pt,
-                        root.label(),
-                        float(decided[root.label()].error),
-                        bound,
-                    )
-                    decided[pt.label()] = rec
-                    lattice_pruned += 1
-                    if writer is not None:
-                        writer.write(rec)
+            flush()
+            while not sched.done and session.inflight < session.capacity:
+                if sched.ready:
+                    if cfg.order and sched.ready_changed:
+                        sched.order_ready(order)
+                    batch = sched.take(session.chunk_size(len(sched.ready), group))
                 else:
-                    wave.append(pt)
-            if not wave:
-                waves += 1
-                continue
-
-            if callable(cfg.order):
-                jobs = cfg.order(
-                    [BatchJob(app, device, pt, site=site) for pt in wave]
+                    spec = sched.speculate()
+                    if spec is None:
+                        break
+                    batch = [spec]
+                tickets = session.put_chunk(
+                    [BatchJob(app, device, pt, site=site) for pt in batch]
                 )
-                wave = [job.point for job in jobs]
-            elif surrogate is not None:
-                wave = surrogate.order(
-                    wave,
-                    bound=bound,
-                    prune_weight=lambda p: 0.1 * len(lattice.descendants(p)),
+                inflight.update(zip(tickets, batch))
+            # Once every point is decided, whatever is still in flight is a
+            # speculative run of a pruned point: drained here, it counts as
+            # discarded.
+            done = session.next_completed()
+            if done is None:
+                if sched.done:
+                    break
+                raise RuntimeError(  # pragma: no cover - lattices are acyclic
+                    "pruned sweep stalled: no ready points"
                 )
-            rep = engine.submit(
-                [BatchJob(app, device, pt, site=site) for pt in wave],
-                config=wave_cfg,
-            ).report()
-            evaluated += rep.evaluated
-            preflight_pruned += rep.pruned
-            for pt, rec in zip(wave, rep.records):
-                decided[pt.label()] = rec
-                if writer is not None:
-                    writer.write(rec)
-                if surrogate is not None:
-                    surrogate.observe(pt, rec)
-            waves += 1
+            while done is not None:
+                sched.complete(inflight.pop(done.ticket), done.record, done.origin)
+                done = session.next_completed() if session.settled else None
     finally:
+        session.close()
         if writer is not None:
             writer.close()
         variant_hits = engine.stats.variant_hits - variant_hits0
@@ -615,16 +807,17 @@ def run_sweep_pruned(
 
     return SweepReport(
         records=[decided[pt.label()] for pt in points],
-        evaluated=evaluated,
+        evaluated=sched.evaluated,
         skipped=skipped,
-        pruned=preflight_pruned,
+        pruned=sched.preflight_pruned,
         elapsed=time.monotonic() - t0,
         checkpoint=(
             str(cfg.checkpoint) if cfg.checkpoint is not None else None
         ),
         extra={
-            "lattice_pruned": lattice_pruned,
-            "waves": waves,
+            "lattice_pruned": sched.lattice_pruned,
+            "waves": len(sched.levels),
+            "speculative_discarded": sched.discarded,
             "qoi_bound": bound,
             "ordered": bool(cfg.order),
             "variant_hits": variant_hits,

@@ -6,7 +6,9 @@ evaluation section: one block per table/figure with the same rows/series.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.harness.runner import RunRecord
 
@@ -45,6 +47,16 @@ def format_progress(p: SweepProgress) -> str:
         + (f" (resumed past {p.skipped})" if p.skipped else "")
         + (f" (deduped {p.deduped})" if p.deduped else "")
     )
+
+
+def progress_callback(progress) -> Callable[[SweepProgress], None] | None:
+    """Normalize ``SweepConfig.progress``: ``True`` prints a stderr line per
+    update, a callable is used as-is, anything falsy disables reporting."""
+    if callable(progress):
+        return progress
+    if progress:
+        return lambda p: print(format_progress(p), file=sys.stderr)
+    return None
 
 
 def format_engine_stats(stats) -> str:

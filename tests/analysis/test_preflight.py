@@ -8,6 +8,7 @@ preflight-disabled run.
 
 import pytest
 
+from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB, dumps_record
 from repro.harness.executor import run_sweep_parallel
 from repro.harness.runner import ExperimentRunner
@@ -47,7 +48,7 @@ def baseline():
     """Preflight-disabled reference records."""
     report = run_sweep_parallel(
         "blackscholes", "v100_small", _points(),
-        problems=PROBLEMS, max_workers=1,
+        problems=PROBLEMS, config=SweepConfig(),
     )
     return report.records
 
@@ -152,7 +153,7 @@ class TestExecutorIntegration:
     def test_feasible_records_byte_identical(self, baseline):
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True,
+            problems=PROBLEMS, config=SweepConfig(preflight=True),
         )
         assert report.pruned == 2
         ref_feasible = [dumps_record(r) for r in baseline if r.feasible]
@@ -170,7 +171,7 @@ class TestExecutorIntegration:
         _CountingRunner.calls = 0
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            max_workers=1, preflight=True,
+            config=SweepConfig(preflight=True),
             runner_factory=_counting_factory, factory_args=(PROBLEMS, 2023),
         )
         assert _CountingRunner.calls == 2  # only the feasible TAF points
@@ -180,7 +181,7 @@ class TestExecutorIntegration:
         _CountingRunner.calls = 0
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            max_workers=1, preflight=False,
+            config=SweepConfig(preflight=False),
             runner_factory=_counting_factory, factory_args=(PROBLEMS, 2023),
         )
         assert _CountingRunner.calls == len(_points())
@@ -201,7 +202,7 @@ class TestExecutorIntegration:
 
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=veto_iact,
+            problems=PROBLEMS, config=SweepConfig(preflight=veto_iact),
         )
         assert report.pruned == 2
         assert all(r.note == "preflight STUB"
@@ -211,7 +212,8 @@ class TestExecutorIntegration:
         ck = tmp_path / "sweep.jsonl"
         first = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True, checkpoint=ck,
+            problems=PROBLEMS,
+            config=SweepConfig(preflight=True, checkpoint=ck),
         )
         assert first.pruned == 2
         db = ResultsDB.load(ck)
@@ -219,7 +221,8 @@ class TestExecutorIntegration:
         # Resume: pruned rows are trusted records, not re-vetted points.
         again = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True, checkpoint=ck,
+            problems=PROBLEMS,
+            config=SweepConfig(preflight=True, checkpoint=ck),
         )
         assert again.skipped == len(_points())
         assert again.pruned == 0 and again.evaluated == 0
@@ -227,7 +230,8 @@ class TestExecutorIntegration:
     def test_runner_run_sweep_preflight_kwarg(self, baseline):
         runner = ExperimentRunner(problems=PROBLEMS)
         records = runner.run_sweep(
-            "blackscholes", "v100_small", _points(), preflight=True
+            "blackscholes", "v100_small", _points(),
+            config=SweepConfig(preflight=True),
         )
         assert [dumps_record(r) for r in records if r.feasible] == [
             dumps_record(r) for r in baseline if r.feasible

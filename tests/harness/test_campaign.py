@@ -322,3 +322,47 @@ class TestPartialMerge:
         result = merge_campaign(camp, out)
         assert result.output == str(out) and out.exists()
         assert len(ResultsDB.load(out)) == len(spec.resolve_points())
+
+
+class _CompletionLandsMidClaim(FileQueue):
+    """Lands ``claim``'s ``complete`` inside the next ``claim`` scan of its
+    job — after that scan's done check, before its lease create — the
+    interleaving that used to re-issue a finished job."""
+
+    def __init__(self, root, clock):
+        super().__init__(root, clock=clock)
+        self.pending = None
+
+    def lease_of(self, job):
+        if self.pending is not None and job == self.pending.job:
+            claim, self.pending = self.pending, None
+            self.complete(claim, records=1)
+        return super().lease_of(job)
+
+
+class TestClaimCompleteRace:
+    def test_job_completed_during_claim_is_not_reissued(self, tmp_path):
+        q = _CompletionLandsMidClaim(tmp_path, clock=FakeClock())
+        q.add("j0", {})
+        q.add("j1", {})
+        a = q.claim("a", ttl=10.0, job="j0")
+        q.pending = a
+        b = q.claim("b", ttl=10.0)
+        # j0 finished under a's fence (no LeaseLost raised); b moves on to
+        # j1 instead of re-emitting j0's shard under a fresh fence.
+        assert q.pending is None
+        assert b is not None and b.job == "j1"
+        assert q.state_of("j0") == "done"
+        assert q.done_fence("j0") == a.lease.fence
+        assert q.lease_of("j0") is None
+        q.complete(b)  # b's own lease is intact
+        assert q.claim("c", ttl=10.0) is None
+
+    def test_single_job_race_yields_nothing_to_claim(self, tmp_path):
+        q = _CompletionLandsMidClaim(tmp_path, clock=FakeClock())
+        q.add("j0", {})
+        a = q.claim("a", ttl=10.0)
+        q.pending = a
+        assert q.claim("b", ttl=10.0) is None
+        assert q.table()["j0"]["state"] == "done"
+        assert "lease" not in q.table()["j0"]

@@ -401,3 +401,244 @@ class TestVariantCache:
             fh.write('{"key": "abc", "record": {tru')
         reloaded = VariantCache(path)
         assert len(reloaded) == 2
+
+
+# ---------------------------------------------------------------------------
+# Dependency-driven dispatch: speculation, discards, crash respawn, levels
+# ---------------------------------------------------------------------------
+def _fake_record(pt, error):
+    from repro.harness.runner import RunRecord
+
+    return RunRecord(
+        app="kmeans", device="V100-small", technique=pt.technique,
+        params=dict(pt.params), level=pt.level,
+        items_per_thread=pt.items_per_thread, speedup=1.5, error=error,
+    )
+
+
+def _chain():
+    """Three points of one lattice group: mild < mid < harsh."""
+    return [
+        SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": t})
+        for t in (0.3, 0.9, 3.0)
+    ]
+
+
+class TestDataflowScheduler:
+    def _sched(self, pts, bound=0.10):
+        from repro.harness.pruning import DataflowScheduler
+
+        return DataflowScheduler(
+            SweepLattice(pts), "kmeans", "V100-small", bound, {}
+        )
+
+    def test_only_roots_start_ready(self):
+        mild, mid, harsh = _chain()
+        sched = self._sched([mild, mid, harsh])
+        assert [p.label() for p in sched.ready] == [mild.label()]
+
+    def test_descendant_finishing_first_is_still_pruned_by_ancestor(self):
+        mild, mid, harsh = _chain()
+        sched = self._sched([mild, mid, harsh])
+        assert sched.take(1) == [mild]
+        assert sched.speculate() == mid  # fewest undecided ancestors
+        assert sched.speculate() == harsh
+        # Both descendants return before their violating root does.
+        sched.complete(harsh, _fake_record(harsh, 0.02), "run")
+        sched.complete(mid, _fake_record(mid, 0.01), "run")
+        assert not sched.decided  # held: ancestors undecided
+        sched.complete(mild, _fake_record(mild, 0.5), "run")
+        assert sched.done
+        for pt in (mid, harsh):
+            expected = pruned_record(
+                "kmeans", "V100-small", pt, mild.label(), 0.5, 0.10
+            )
+            assert dumps_record(sched.decided[pt.label()]) == dumps_record(
+                expected
+            )
+        assert sched.evaluated == 1
+        assert sched.lattice_pruned == 2
+        assert sched.discarded == 2
+
+    def test_decisions_do_not_depend_on_completion_order(self):
+        mild, mid, harsh = _chain()
+        errors = {mild.label(): 0.01, mid.label(): 0.4, harsh.label(): 0.9}
+        finals = []
+        for late_first in (True, False):
+            sched = self._sched([mild, mid, harsh])
+            sched.take(1)
+            spec = [sched.speculate(), sched.speculate()]
+            arrivals = [mild] + spec
+            if late_first:
+                arrivals = arrivals[::-1]
+            for pt in arrivals:
+                sched.complete(pt, _fake_record(pt, errors[pt.label()]), "run")
+            finals.append(
+                {k: dumps_record(v) for k, v in sched.decided.items()}
+            )
+            # harsh is pruned by mid (the violating ancestor) either way.
+            assert is_pruned_record(sched.decided[harsh.label()])
+            assert sched.decided[harsh.label()].extra["pruned_by"] == mid.label()
+            assert sched.evaluated == 2 and sched.discarded == 1
+        assert finals[0] == finals[1]
+
+    def test_no_speculation_below_a_decided_violator(self):
+        pts = [
+            SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": t}, lvl)
+            for t in (0.3, 0.9)
+            for lvl in ("thread", "warp")
+        ]
+        sched = self._sched(pts)
+        (root,) = sched.take(1)
+        sched.complete(root, _fake_record(root, 0.5), "run")
+        # Every other point descends from the violating root: all pruned
+        # at once, nothing left to speculate on.
+        assert sched.done and sched.speculate() is None
+        assert sched.lattice_pruned == 3
+
+    def test_likely_violators_are_not_speculated_under(self):
+        from repro.harness.pruning import DataflowScheduler
+
+        mild, mid, harsh = _chain()
+        sched = DataflowScheduler(
+            SweepLattice([mild, mid, harsh]), "kmeans", "V100-small", 0.10,
+            {}, likely_violates=lambda pt: pt.label() == mild.label(),
+        )
+        sched.take(1)
+        assert sched.speculate() is None
+
+    def test_resumed_violator_prunes_its_chain_once(self):
+        from repro.harness.pruning import DataflowScheduler
+
+        mild, mid, harsh = _chain()
+        sched = DataflowScheduler(
+            SweepLattice([mild, mid, harsh]), "kmeans", "V100-small", 0.10,
+            {mild.label(): _fake_record(mild, 0.5)},
+        )
+        assert sched.done and not sched.ready
+        assert sched.lattice_pruned == 2
+        assert [pt.label() for pt, _rec in sched.fresh] == [
+            mid.label(), harsh.label()
+        ]
+
+    def test_levels_count_lattice_depths(self):
+        mild, mid, harsh = _chain()
+        lat = SweepLattice([mild, mid, harsh])
+        assert [lat.depth(p) for p in (mild, mid, harsh)] == [0, 1, 2]
+        sched = self._sched([mild, mid, harsh])
+        sched.complete(sched.take(1)[0], _fake_record(mild, 0.01), "run")
+        sched.complete(sched.take(1)[0], _fake_record(mid, 0.01), "run")
+        sched.complete(sched.take(1)[0], _fake_record(harsh, 0.01), "run")
+        assert sched.levels == {0, 1, 2}
+
+
+class TestDataflowDispatch:
+    def _violating_pair(self, full_report):
+        """A (root, child) chain plus a bound of half the root's error, so
+        the root must violate it."""
+        by_label = {_label(r): r for r in full_report.records}
+        for h in (1, 2):
+            root = SweepPoint("taf", {"hsize": h, "psize": 4, "threshold": 3.0})
+            child = SweepPoint("taf", {"hsize": h, "psize": 4, "threshold": 20.0})
+            err = by_label[root.label()].error
+            if by_label[root.label()].feasible and err > 0:
+                return root, child, err / 2
+        pytest.skip("no feasible root with nonzero error on this grid")
+
+    def test_evaluated_excludes_discarded_speculation(self, full_report):
+        from repro.harness.pruning import run_sweep_pruned
+
+        root, child, bound = self._violating_pair(full_report)
+        with BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(workers=2)
+        ) as eng:
+            rep = run_sweep_pruned(
+                "kmeans", "v100_small", [root, child], problems=PROBLEMS,
+                config=SweepConfig(prune=bound, workers=2), engine=eng,
+            )
+            executed = eng.stats.executed
+        # The idle worker ran the child ahead of its root; the root then
+        # violated, so that run was discarded for the pruned row.
+        assert rep.extra["speculative_discarded"] == 1
+        assert executed == 2
+        assert rep.evaluated == 1 and rep.extra["lattice_pruned"] == 1
+        assert rep.records[1].extra["pruned_by"] == root.label()
+        serial = run_sweep_pruned(
+            "kmeans", "v100_small", [root, child], problems=PROBLEMS,
+            config=SweepConfig(prune=bound),
+        )
+        assert serial.extra["speculative_discarded"] == 0
+        assert serial.evaluated == 1
+        assert [dumps_record(r) for r in rep.records] == [
+            dumps_record(r) for r in serial.records
+        ]
+
+    def test_killed_worker_mid_sweep_identical_records(
+        self, grid, pruned_report
+    ):
+        import os
+        import signal
+
+        from repro.harness.pruning import run_sweep_pruned
+
+        with BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(workers=2)
+        ) as eng:
+            kills = []
+
+            def kill_once(progress):
+                # After the first decisions, with chunks still in flight.
+                if not kills and progress.done < progress.total:
+                    kills.extend(eng.pool._executor._processes)
+                    for pid in kills:
+                        os.kill(pid, signal.SIGKILL)
+
+            rep = run_sweep_pruned(
+                "kmeans", "v100_small", grid, problems=PROBLEMS,
+                config=SweepConfig(
+                    prune=0.10, order=True, workers=2, progress=kill_once
+                ),
+                engine=eng,
+            )
+            assert kills
+            assert eng.stats.pool_respawns >= 1
+        assert [dumps_record(r) for r in rep.records] == [
+            dumps_record(r) for r in pruned_report.records
+        ]
+
+    def test_waves_count_lattice_levels_resolved(self, grid, pruned_report):
+        lat = SweepLattice(grid)
+        assert pruned_report.extra["waves"] >= 1
+        assert pruned_report.extra["waves"] == len({lat.depth(p) for p in grid})
+
+    def test_parallel_checkpoint_resumes_to_same_records(
+        self, grid, pruned_report, tmp_path
+    ):
+        ck = str(tmp_path / "ck.jsonl")
+        cfg = SweepConfig(prune=0.10, order=True, workers=2, checkpoint=ck)
+        first = run_sweep_parallel("kmeans", "v100_small", grid,
+                                   problems=PROBLEMS, config=cfg)
+        # Rows land in completion order, one per point, none discarded.
+        rows = ResultsDB.load(ck).query(feasible=None)
+        assert sorted(_label(r) for r in rows) == sorted(p.label() for p in grid)
+        again = run_sweep_parallel("kmeans", "v100_small", grid,
+                                   problems=PROBLEMS, config=cfg)
+        assert again.evaluated == 0 and again.skipped == len(grid)
+        assert [dumps_record(r) for r in again.records] == [
+            dumps_record(r) for r in first.records
+        ] == [dumps_record(r) for r in pruned_report.records]
+
+    def test_variant_cache_serves_a_repeated_pruned_sweep(
+        self, grid, pruned_report
+    ):
+        vc = VariantCache()
+        cfg = SweepConfig(prune=0.10, order=True, workers=2, variant_cache=vc)
+        first = run_sweep_parallel("kmeans", "v100_small", grid,
+                                   problems=PROBLEMS, config=cfg)
+        again = run_sweep_parallel("kmeans", "v100_small", grid,
+                                   problems=PROBLEMS, config=cfg)
+        assert again.evaluated == 0
+        assert again.extra["variant_hits"] >= first.evaluated
+        assert [dumps_record(r) for r in again.records] == [
+            dumps_record(r) for r in pruned_report.records
+        ]
