@@ -71,7 +71,7 @@ from repro.openmp import OffloadProgram
 from repro.pragma import compile_pragma, compile_pragmas
 from repro import api
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ApproxRuntime",

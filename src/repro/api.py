@@ -27,11 +27,10 @@ is passed alongside, because the same request must produce byte-identical
 records under any policy — the invariant the campaign fabric's
 split/merge round-trip is tested against.
 
-Keyword-style calls into the engine layer (``max_workers=`` etc.) remain
-accepted through the single :func:`~repro.harness.config.resolve_config`
-shim with a :class:`DeprecationWarning`; see the README's "Migrating to
-request objects" table.  Everything imports lazily so ``import
-repro.api`` stays cheap and cycle-free.
+The engine layer takes its policy only as a ``config=SweepConfig(...)``
+since 2.0.0 — the loose ``max_workers=``-style keywords are gone; see the
+README's "Migrating to request objects" table.  Everything imports lazily
+so ``import repro.api`` stays cheap and cycle-free.
 """
 
 from __future__ import annotations

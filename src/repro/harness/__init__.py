@@ -11,15 +11,13 @@ from repro.harness.batch import (
     BatchEngine,
     BatchJob,
     BatchReport,
-    BatchStream,
     Completion,
     EngineStats,
     EngineStream,
-    StreamSession,
     WorkerPool,
     run_batch,
 )
-from repro.harness.config import SweepConfig, resolve_config
+from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB, compact_checkpoint
 from repro.harness.executor import SweepReport, run_sweep_parallel
 from repro.harness.reporting import format_engine_stats
@@ -52,16 +50,13 @@ __all__ = [
     "BatchEngine",
     "BatchJob",
     "BatchReport",
-    "BatchStream",
     "CheckpointWriter",
     "Completion",
     "EngineStats",
     "EngineStream",
     "ExperimentRunner",
-    "StreamSession",
     "SweepConfig",
     "WorkerPool",
-    "resolve_config",
     "compact_checkpoint",
     "format_engine_stats",
     "run_batch",

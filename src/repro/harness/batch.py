@@ -1,11 +1,6 @@
-"""Heterogeneous batch evaluation: one persistent, streaming parallel engine.
+"""Heterogeneous batch evaluation: one persistent engine, one ticketed stream.
 
-PR 1 parallelized *single* sweeps; PR 3 widened the unit of work to
-arbitrary heterogeneous ``device × app × technique × point`` batches with
-parent-resolved baselines and adaptive chunk sizing.  Two costs remained,
-both named in ROADMAP: every ``run_jobs`` call still paid a fresh
-``ProcessPoolExecutor`` spawn, and consumers blocked on the whole batch
-instead of seeing records as chunks landed.  This revision removes both:
+Every record the harness simulates comes out of one place:
 
 * :class:`WorkerPool` keeps one ``ProcessPoolExecutor`` alive for a whole
   :class:`BatchEngine` session — spawned lazily on first use, reaped after
@@ -13,27 +8,26 @@ instead of seeing records as chunks landed.  This revision removes both:
   poisoned-runner rebuild) when a worker process crashes — so a session of
   generation-sized batches pays the spawn cost once (``stats.pool_spawns``
   makes "exactly one pool" assertable).
-* :class:`BatchStream` / :meth:`BatchEngine.submit` stream records to the
-  caller as chunks complete, while checkpoint writes, progress callbacks,
-  and the engine cache absorb them in the background.  The blocking
-  :func:`run_batch` / :meth:`BatchEngine.run_jobs` paths are now thin
-  drains of the same stream, so the streamed and blocking record sets are
-  identical by construction.
-* :class:`StreamSession` is the incremental variant — ``put()`` one job at
-  a time, consume results in submission order while later jobs evaluate —
-  feeding the steady-state evolutionary search; in completion order it
-  feeds the dependency-driven pruned sweep
-  (:func:`repro.harness.pruning.run_sweep_pruned`).
+* :class:`EngineStream` is the engine's only way to evaluate jobs.  Each
+  job gets a ticket and settles without simulating when it can — an
+  earlier slot of the stream, the engine cache, the checkpoint, the static
+  preflight, the variant cache — or rides a chunk to an executor.  The
+  stream yields tickets in submission order or records in completion
+  order, and drains into a job-ordered :class:`BatchReport`.
+  :meth:`BatchEngine.submit` / :meth:`~BatchEngine.run_jobs`,
+  :func:`run_batch`, the sweeps, the searches and the pruned-sweep driver
+  are all feeds and drains of it.
+
+"Serial" (``workers <= 1``) is the same stream with an in-process
+executor: chunks run on a :class:`_RunnerSlot` — the object every pool
+worker holds — when the consumer awaits them, so retries, the
+poisoned-runner rebuild and baseline priming are one piece of code at any
+worker count, and serial and pooled records are identical by construction
+(the simulation is deterministic per seed).
 
 Execution policy (workers, chunking, checkpoint, retries, progress,
-preflight, sanitize, baseline sharing, idle TTL) lives in one frozen
-:class:`~repro.harness.config.SweepConfig`; the PR-3 loose keywords remain
-accepted through a :class:`DeprecationWarning` shim.
-
-The serial path (``workers <= 1``) runs the same code in-process and
-produces byte-identical records (the simulation is deterministic per
-seed), so every caller keeps a ``parallel=0`` escape hatch that matches
-the old behaviour exactly.
+preflight, sanitize, baseline sharing, idle TTL, ordering, variant cache)
+lives in one frozen :class:`~repro.harness.config.SweepConfig`.
 """
 
 from __future__ import annotations
@@ -43,16 +37,12 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.harness.config import (
-    TARGET_CHUNK_SECONDS,
-    UNSET,
-    SweepConfig,
-    resolve_config,
-)
+from repro.harness.config import TARGET_CHUNK_SECONDS, SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB
 from repro.harness.reporting import SweepProgress, progress_callback
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -85,7 +75,7 @@ class BatchJob:
 
 @dataclass
 class BatchReport:
-    """Outcome of one :func:`run_batch` invocation."""
+    """Outcome of one drained :class:`EngineStream`."""
 
     #: One record per input job, in job order (checkpointed + fresh; a
     #: deduplicated slot shares its record with the slot it collapsed into).
@@ -164,7 +154,7 @@ class AdaptiveChunker:
 
 
 # ----------------------------------------------------------------------
-# Retry wrapper.  Shared by the serial and worker paths.
+# Retry wrapper.  Shared by every executor, in-process or pooled.
 def run_point_with_retry(
     runner,
     app: str,
@@ -233,40 +223,65 @@ def _crash_record(job: BatchJob, why: str) -> RunRecord:
 
 
 # ----------------------------------------------------------------------
-# Worker side.  Each pool process builds one runner in its initializer and
-# reuses it for every chunk; baselines arrive *with the chunks* (a
-# persistent pool outlives any single batch's baseline set) and accumulate
-# in ``_BATCH_BASELINES`` so a retry rebuild re-primes everything seen.
-_BATCH_FACTORY: Callable | None = None
-_BATCH_ARGS: tuple = ()
-_BATCH_BASELINES: dict = {}
-_BATCH_RUNNER = None
-_BATCH_RETIRED_COMPUTES = 0
+# Executor side.  A _RunnerSlot is one executor's runner: every pool
+# process builds one in its initializer, and a pool-less engine holds one
+# in-process.  Baselines arrive *with the chunks* (a persistent pool
+# outlives any single batch's baseline set) and accumulate in the slot, so
+# a retry rebuild re-primes everything seen.
+class _RunnerSlot:
+    """The runner one executor reuses across chunks, rebuilt on retry."""
+
+    def __init__(self, factory: Callable, args: tuple, runner=None) -> None:
+        self.factory = factory
+        self.args = args
+        self.baselines: dict = {}
+        self.retired_computes = 0
+        self.runner = runner if runner is not None else factory(*args)
+
+    def rebuild(self):
+        """Replace a possibly-poisoned runner with a fresh, primed one."""
+        self.retired_computes += getattr(self.runner, "baseline_computes", 0)
+        self.runner = self.factory(*self.args)
+        if self.baselines and hasattr(self.runner, "prime_baselines"):
+            self.runner.prime_baselines(self.baselines)
+        return self.runner
+
+    def computes(self) -> int:
+        return self.retired_computes + getattr(self.runner, "baseline_computes", 0)
+
+    def run(
+        self,
+        chunk: list[tuple],
+        retries: int,
+        baselines: dict | None = None,
+        sanitize: bool = False,
+    ) -> tuple[list, float, int]:
+        """Run one heterogeneous chunk; returns (records, seconds, baseline runs).
+
+        ``seconds`` is measured where the chunk runs so the adaptive
+        controller sees compute time, not queue wait."""
+        if baselines:
+            self.baselines.update(baselines)
+            if hasattr(self.runner, "prime_baselines"):
+                self.runner.prime_baselines(baselines)
+        before = self.computes()
+        t0 = time.monotonic()
+        records = [
+            run_point_with_retry(
+                self.runner, app, device, point, site=site,
+                retries=retries, rebuild=self.rebuild, sanitize=sanitize,
+            )
+            for app, device, point, site in chunk
+        ]
+        return records, time.monotonic() - t0, self.computes() - before
 
 
-def _build_worker_runner():
-    runner = _BATCH_FACTORY(*_BATCH_ARGS)
-    if _BATCH_BASELINES and hasattr(runner, "prime_baselines"):
-        runner.prime_baselines(_BATCH_BASELINES)
-    return runner
-
-
-def _rebuild_batch_runner():
-    """Replace a possibly-poisoned worker runner with a fresh, primed one."""
-    global _BATCH_RUNNER, _BATCH_RETIRED_COMPUTES
-    _BATCH_RETIRED_COMPUTES += getattr(_BATCH_RUNNER, "baseline_computes", 0)
-    _BATCH_RUNNER = _build_worker_runner()
-    return _BATCH_RUNNER
+_WORKER_SLOT: _RunnerSlot | None = None
 
 
 def _init_batch_worker(factory: Callable, args: tuple) -> None:
-    global _BATCH_FACTORY, _BATCH_ARGS, _BATCH_BASELINES
-    _BATCH_FACTORY, _BATCH_ARGS, _BATCH_BASELINES = factory, args, {}
-    _rebuild_batch_runner()
-
-
-def _worker_baseline_computes() -> int:
-    return _BATCH_RETIRED_COMPUTES + getattr(_BATCH_RUNNER, "baseline_computes", 0)
+    global _WORKER_SLOT
+    _WORKER_SLOT = _RunnerSlot(factory, args)
 
 
 def _run_batch_chunk(
@@ -275,25 +290,9 @@ def _run_batch_chunk(
     baselines: dict | None = None,
     sanitize: bool = False,
 ) -> tuple[list, float, int]:
-    """Run one heterogeneous chunk; returns (records, seconds, baseline runs).
-
-    ``seconds`` is measured in the worker so the adaptive controller sees
-    compute time, not queue wait."""
-    assert _BATCH_RUNNER is not None, "pool initializer did not run"
-    if baselines:
-        _BATCH_BASELINES.update(baselines)
-        if hasattr(_BATCH_RUNNER, "prime_baselines"):
-            _BATCH_RUNNER.prime_baselines(baselines)
-    before = _worker_baseline_computes()
-    t0 = time.monotonic()
-    records = [
-        run_point_with_retry(
-            _BATCH_RUNNER, app, device, point, site=site,
-            retries=retries, rebuild=_rebuild_batch_runner, sanitize=sanitize,
-        )
-        for app, device, point, site in chunk
-    ]
-    return records, time.monotonic() - t0, _worker_baseline_computes() - before
+    """Pool entry point: run ``chunk`` on this worker process's slot."""
+    assert _WORKER_SLOT is not None, "pool initializer did not run"
+    return _WORKER_SLOT.run(chunk, retries, baselines, sanitize)
 
 
 # ----------------------------------------------------------------------
@@ -413,553 +412,68 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-def _job_keys(jobs: list[BatchJob], dev_names: dict[str, str]) -> list[tuple]:
-    """Checkpoint-label-space identity per job (device presets memoized)."""
-    keys = []
-    for job in jobs:
-        if isinstance(job.device, DeviceSpec):
-            name = job.device.name
-        else:
-            name = dev_names.get(job.device)
-            if name is None:
-                name = get_device(job.device).name
-                dev_names[job.device] = name
-        keys.append((job.app, name, job.point.label()))
-    return keys
-
-
 def _order_pending(
     pending: "OrderedDict[tuple, BatchJob]",
     order,
     done: dict,
-    bound: float | None = None,
+    bound: float | None,
+    key: Callable[[BatchJob], tuple],
 ) -> "OrderedDict[tuple, BatchJob]":
     """Reorder the pending frontier per ``SweepConfig.order``.
 
     A callable receives the pending job list and must return a permutation
-    of it (checked by identity in the checkpoint label space); ``True``
-    scores each job with the incremental surrogate fitted from already-done
-    records (checkpoint rows of this very campaign), descending, stable."""
+    of it (checked by identity in the checkpoint label space, ``key``);
+    ``True`` scores each job with the incremental surrogate fitted from
+    already-done records (checkpoint rows of this very campaign),
+    descending, stable."""
     entries = list(pending.items())
     if callable(order):
-        ordered_jobs = list(order([job for _key, job in entries]))
-        new_keys = _job_keys(ordered_jobs, {})
+        new_keys = [key(job) for job in order([job for _key, job in entries])]
         if sorted(new_keys) != sorted(pending):
             raise ValueError(
                 "order callable must return a permutation of the pending jobs"
             )
-        return OrderedDict((key, pending[key]) for key in new_keys)
+        return OrderedDict((k, pending[k]) for k in new_keys)
     from repro.harness.pruning import DEFAULT_QOI_BOUND, Surrogate
 
     surrogate = Surrogate()
     surrogate.observe_records(done.values())
     b = bound if bound is not None else DEFAULT_QOI_BOUND
-    scores = {key: surrogate.score(job.point, b) for key, job in entries}
+    scores = {k: surrogate.score(job.point, b) for k, job in entries}
     return OrderedDict(sorted(entries, key=lambda kv: -scores[kv[0]]))
 
 
-class BatchStream:
-    """Iterator over a batch's records, yielded as they become available.
-
-    Construction resolves job identities, loads the checkpoint, collapses
-    duplicates, runs the static preflight, and resolves shared baselines;
-    iteration drives the dispatch loop.  Slots satisfied without
-    simulation (checkpoint, preflight prune, duplicate of an earlier slot)
-    yield first, in job order; fresh evaluations yield as their chunks
-    complete — while checkpoint writes and progress callbacks absorb them
-    in the background — so a consumer overlaps its own work with the
-    pool's.  :meth:`records` / :meth:`report` drain the stream and return
-    the job-ordered result, byte-identical to the blocking path.
-
-    With ``pool=None`` and ``config.workers > 1`` the stream owns a
-    transient :class:`WorkerPool` (shut down when the stream finishes);
-    passing a shared pool — what :class:`BatchEngine` does — reuses its
-    warm workers and leaves its lifecycle to the owner.
-    """
-
-    def __init__(
-        self,
-        jobs: Iterable[BatchJob],
-        *,
-        problems: dict | None = None,
-        seed: int = 2023,
-        config: SweepConfig | None = None,
-        pool: WorkerPool | None = None,
-        baseline_source: ExperimentRunner | None = None,
-        serial_runner: ExperimentRunner | None = None,
-        runner_factory: Callable[..., ExperimentRunner] | None = None,
-        factory_args: tuple | None = None,
-        on_result: Callable[[tuple, RunRecord], None] | None = None,
-        on_done: Callable[["BatchStream"], None] | None = None,
-        variant_cache=None,
-    ) -> None:
-        cfg = config if config is not None else SweepConfig()
-        self.config = cfg
-        self.jobs = list(jobs)
-        self._on_result = on_result
-        self._on_done = on_done
-        self._t0 = time.monotonic()
-        self._factory = runner_factory or _default_factory
-        self._args = factory_args if factory_args is not None else (problems, seed)
-        default_runner = runner_factory is None
-
-        self._slot_keys = _job_keys(self.jobs, {})
-        self._slots_by_key: dict[tuple, list[int]] = {}
-        for idx, key in enumerate(self._slot_keys):
-            self._slots_by_key.setdefault(key, []).append(idx)
-
-        # Checkpointed jobs are trusted and never dispatched.
-        self._done: dict[tuple, RunRecord] = {}
-        if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
-            index: dict[tuple, RunRecord] = {}
-            for rec in ResultsDB.load(cfg.checkpoint):
-                index[(rec.app, rec.device, SweepPoint.of_record(rec).label())] = rec
-            for key in self._slots_by_key:
-                if key in index:
-                    self._done[key] = index[key]
-        self.skipped = sum(
-            1 for key in self._slot_keys if key in self._done
-        )
-
-        # In-batch dedupe: first job per identity wins, later slots share it.
-        pending: OrderedDict[tuple, BatchJob] = OrderedDict()
-        for job, key in zip(self.jobs, self._slot_keys):
-            if key not in self._done and key not in pending:
-                pending[key] = job
-        self.deduped = (len(self.jobs) - self.skipped) - len(pending)
-
-        # Static preflight: vet pending jobs in the parent (cheap — no
-        # simulation) and divert the statically infeasible ones straight to
-        # the results, so the pool only ever sees points that might run.
-        pre = cfg.preflight
-        pruned: list[tuple[tuple, RunRecord]] = []
-        if pre:
-            if pre is True:
-                from repro.analysis.preflight import make_preflight
-
-                pre = make_preflight(problems)
-            survivors: OrderedDict[tuple, BatchJob] = OrderedDict()
-            for key, job in pending.items():
-                rec = pre(job.app, job.device, job.point, site=job.site)
-                if rec is None:
-                    survivors[key] = job
-                else:
-                    pruned.append((key, rec))
-            pending = survivors
-        self.pruned = len(pruned)
-
-        # Content-hash variant cache: identical lowered configurations from
-        # *other* campaigns (different checkpoint files, figures, apps) are
-        # served without simulating.  Only sound for the stock runner — a
-        # custom runner_factory may not be content-deterministic.
-        self.variant_hits = 0
-        self._vcache = None
-        self._vkeys: dict[tuple, str] = {}
-        vhits: list[tuple[tuple, RunRecord]] = []
-        if default_runner:
-            if variant_cache is not None:
-                self._vcache = variant_cache
-            elif cfg.variant_cache is not None:
-                from repro.harness.pruning import resolve_variant_cache
-
-                self._vcache = resolve_variant_cache(cfg.variant_cache)
-        if self._vcache is not None:
-            fresh_pending: OrderedDict[tuple, BatchJob] = OrderedDict()
-            for key, job in pending.items():
-                vkey = self._vcache.key_for(
-                    job.app, job.device, job.point, site=job.site,
-                    seed=self._args[1], problem=self._args[0],
-                    sanitize=cfg.sanitize,
-                )
-                rec = self._vcache.get(vkey)
-                if rec is None:
-                    self._vkeys[key] = vkey
-                    fresh_pending[key] = job
-                else:
-                    vhits.append((key, rec))
-            pending = fresh_pending
-            self.variant_hits = len(vhits)
-
-        # Surrogate (or caller-supplied) ordering of the pending frontier:
-        # changes dispatch order only — records stay slot-ordered, so the
-        # result set is byte-identical either way.
-        if cfg.order and len(pending) > 1:
-            pending = _order_pending(
-                pending,
-                cfg.order,
-                self._done,
-                bound=(
-                    float(cfg.prune)
-                    if isinstance(cfg.prune, float)
-                    else None
-                ),
-            )
-
-        # Baseline pre-resolution: every unique (app, device) among the
-        # pending jobs, computed exactly once, shipped to workers alongside
-        # their chunks (a persistent pool outlives any one batch, so the
-        # old ship-once-via-initializer channel no longer exists).
-        self.baseline_runs = 0
-        self._group_baselines: dict[tuple, dict] = {}
-        src: ExperimentRunner | None = None
-        pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
-        for key, job in pending.items():
-            pairs.setdefault((job.app, key[1]), job)
-        if cfg.share_baselines and default_runner and pending:
-            src = baseline_source or serial_runner or ExperimentRunner(
-                problems=problems, seed=seed
-            )
-            before = src.baseline_computes
-            for (_app, _dev), job in pairs.items():
-                src.baseline(job.app, job.device)
-            self.baseline_runs = src.baseline_computes - before
-            for cache_key, result in src.export_baselines().items():
-                pair = (cache_key[0], cache_key[1])
-                if pair in pairs:
-                    self._group_baselines.setdefault(pair, {})[cache_key] = result
-
-        self._report_progress = progress_callback(cfg.progress)
-
-        self._writer = (
-            CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
-        )
-        self.evaluated = self._feasible = self._infeasible = 0
-        self.worker_baseline_runs = 0
-        self.pool_respawns = 0
-        self.elapsed = 0.0
-
-        # Early-resolved slots yield first, in job order.
-        self._ready: deque[int] = deque()
-        for key in list(self._done):
-            self._notify(key, self._done[key])
-        if pruned:
-            if self._writer is not None:
-                self._writer.write([rec for _key, rec in pruned])
-            for key, rec in pruned:
-                self._done[key] = rec
-                self._notify(key, rec)
-        if vhits:
-            # Variant-cache hits come from other campaigns' caches, so they
-            # are written into *this* checkpoint to keep it self-contained.
-            if self._writer is not None:
-                self._writer.write([rec for _key, rec in vhits])
-            for key, rec in vhits:
-                self._done[key] = rec
-                self._notify(key, rec)
-
-        # Group pending jobs by (app, device): the adaptive controller's
-        # unit of throughput, and the worker's unit of app-cache locality.
-        self._chunker = AdaptiveChunker(target_seconds=cfg.target_chunk_seconds)
-        self._groups: OrderedDict[tuple, deque] = OrderedDict()
-        for key, job in pending.items():
-            self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
-        self._total_pending = len(pending)
-
-        self._workers = max(1, int(cfg.workers))
-        self._inflight: dict = {}
-        self._respawns_left = MAX_POOL_RESPAWNS
-        self._pool: WorkerPool | None = None
-        self._owns_pool = False
-        self._runner: ExperimentRunner | None = None
-        if self._workers > 1 and pending:
-            if pool is not None:
-                self._pool = pool
-                self._pool.acquire()
-            else:
-                self._pool = WorkerPool(self._workers, self._factory, self._args)
-                self._owns_pool = True
-        else:
-            runner = serial_runner or src or self._factory(*self._args)
-            if (
-                self._group_baselines
-                and runner is not src
-                and hasattr(runner, "prime_baselines")
-            ):
-                for entry in self._group_baselines.values():
-                    runner.prime_baselines(entry)
-            self._runner = runner
-        self._yielded = 0
-        self._finished = False
-
-    # -- bookkeeping ----------------------------------------------------
-    def _notify(self, key: tuple, record: RunRecord) -> None:
-        self._ready.extend(self._slots_by_key.get(key, ()))
-        if self._on_result is not None:
-            self._on_result(key, record)
-
-    def _absorb(self, keys: list[tuple], records: list[RunRecord]) -> None:
-        if self._writer is not None:
-            self._writer.write(records)
-        for key, rec in zip(keys, records):
-            self._done[key] = rec
-            self.evaluated += 1
-            self._feasible += rec.feasible
-            self._infeasible += not rec.feasible
-            if (
-                self._vcache is not None
-                and key in self._vkeys
-                and not (rec.note or "").startswith(("WorkerError", "WorkerCrash"))
-            ):
-                # Crash/retry-exhaustion records reflect machine state, not
-                # the configuration's content — never cache them.
-                self._vcache.put(self._vkeys[key], rec)
-            self._notify(key, rec)
-        if self._report_progress is not None:
-            self._report_progress(
-                SweepProgress(
-                    total=self._total_pending,
-                    done=self.evaluated,
-                    feasible=self._feasible,
-                    infeasible=self._infeasible,
-                    skipped=self.skipped,
-                    elapsed=time.monotonic() - self._t0,
-                    deduped=self.deduped,
-                )
-            )
-
-    def _next_chunk(self) -> tuple[tuple | None, list]:
-        """Pop the next chunk, round-robin across groups for fair mixing."""
-        if not self._groups:
-            return None, []
-        group = next(iter(self._groups))
-        queue = self._groups[group]
-        size = self.config.chunk_size or self._chunker.next_size(group)
-        chunk = [queue.popleft() for _ in range(min(size, len(queue)))]
-        if queue:
-            self._groups.move_to_end(group)
-        else:
-            del self._groups[group]
-        return group, chunk
-
-    # -- dispatch -------------------------------------------------------
-    def _dispatch(self, group: tuple, keys: list[tuple], jobs: list[BatchJob]) -> None:
-        payload = [(job.app, job.device, job.point, job.site) for job in jobs]
-        try:
-            fut = self._pool.submit(
-                _run_batch_chunk, payload, self.config.retries,
-                self._group_baselines.get(group), self.config.sanitize,
-            )
-        except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
-            self._recover([(group, keys, jobs)])
-            return
-        self._inflight[fut] = (group, keys, jobs)
-
-    def _recover(self, casualties: list[tuple]) -> None:
-        """Respawn a broken pool and re-run its lost chunks (budgeted)."""
-        casualties = casualties + list(self._inflight.values())
-        self._inflight.clear()
-        if self._respawns_left > 0:
-            self._respawns_left -= 1
-            self.pool_respawns += 1
-            self._pool.respawn()
-            for group, keys, jobs in casualties:
-                self._dispatch(group, keys, jobs)
-        else:
-            why = (
-                f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
-                f"chunk abandoned"
-            )
-            for _group, keys, jobs in casualties:
-                self._absorb(keys, [_crash_record(j, why) for j in jobs])
-
-    def _pump(self) -> bool:
-        """Advance the batch one step; False when no work remains."""
-        if self._finished:
-            return False
-        if self._pool is None:
-            group, chunk = self._next_chunk()
-            if not chunk:
-                return False
-
-            def rebuild():
-                self._runner = self._factory(*self._args)
-                if hasattr(self._runner, "prime_baselines"):
-                    for entry in self._group_baselines.values():
-                        self._runner.prime_baselines(entry)
-                return self._runner
-
-            t_chunk = time.monotonic()
-            records = [
-                run_point_with_retry(
-                    self._runner, job.app, job.device, job.point, site=job.site,
-                    retries=self.config.retries, rebuild=rebuild,
-                    sanitize=self.config.sanitize,
-                )
-                for _key, job in chunk
-            ]
-            self._chunker.observe(group, len(chunk), time.monotonic() - t_chunk)
-            self._absorb([key for key, _job in chunk], records)
-            return True
-        while len(self._inflight) < self._workers and self._groups:
-            group, chunk = self._next_chunk()
-            if not chunk:
-                break
-            self._dispatch(
-                group, [key for key, _job in chunk], [job for _key, job in chunk]
-            )
-        if not self._inflight:
-            return False
-        finished, _ = wait(self._inflight, return_when=FIRST_COMPLETED)
-        casualties = []
-        for fut in finished:
-            group, keys, jobs = self._inflight.pop(fut)
-            try:
-                records, seconds, computes = fut.result()
-            except Exception:  # noqa: BLE001 — a dead worker breaks the pool
-                casualties.append((group, keys, jobs))
-                continue
-            self.worker_baseline_runs += computes
-            self._chunker.observe(group, len(keys), seconds)
-            self._absorb(keys, records)
-        if casualties:
-            self._recover(casualties)
-        return True
-
-    # -- iteration ------------------------------------------------------
-    def __iter__(self) -> Iterator[RunRecord]:
-        return self
-
-    def __next__(self) -> RunRecord:
-        try:
-            while not self._ready:
-                if not self._pump():
-                    break
-        except BaseException:
-            self._finish()
-            raise
-        if not self._ready:
-            self._finish()
-            raise StopIteration
-        idx = self._ready.popleft()
-        self._yielded += 1
-        if self._yielded == len(self.jobs):
-            self._finish()
-        return self._done[self._slot_keys[idx]]
-
-    @property
-    def pending(self) -> int:
-        """Job slots not yet yielded."""
-        return len(self.jobs) - self._yielded
-
-    def records(self) -> list[RunRecord]:
-        """Drain the stream; all records in job order (blocking-equivalent)."""
-        for _ in self:
-            pass
-        return [self._done[key] for key in self._slot_keys]
-
-    def report(self) -> BatchReport:
-        """Drain the stream into a blocking-path :class:`BatchReport`."""
-        records = self.records()
-        return BatchReport(
-            records=records,
-            evaluated=self.evaluated,
-            skipped=self.skipped,
-            deduped=self.deduped,
-            pruned=self.pruned,
-            variant_hits=self.variant_hits,
-            baseline_runs=self.baseline_runs,
-            worker_baseline_runs=self.worker_baseline_runs,
-            elapsed=self.elapsed,
-            checkpoint=(
-                str(self.config.checkpoint)
-                if self.config.checkpoint is not None else None
-            ),
-            extra={
-                "chunk_log": list(self._chunker.log),
-                "pool_respawns": self.pool_respawns,
-                "variant_hits": self.variant_hits,
-            },
-        )
-
-    def close(self) -> None:
-        """Stop dispatching; absorb in-flight chunks, drop the rest.
-
-        Everything already completed stays in the checkpoint and the
-        engine cache, so a partially-consumed stream never loses finished
-        work; slots never evaluated are simply never yielded."""
-        if self._finished:
-            return
-        self._groups.clear()
-        while self._inflight:
-            if not self._pump():
-                break
-        self._finish()
-
-    def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        self.elapsed = time.monotonic() - self._t0
-        if self._writer is not None:
-            self._writer.close()
-        if self._pool is not None:
-            if self._owns_pool:
-                self._pool.shutdown()
-            else:
-                self._pool.release()
-        if self._on_done is not None:
-            self._on_done(self)
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not self._finished:
-                self._groups.clear()
-                self._inflight.clear()
-                self._finish()
-        except Exception:
-            pass
-
-
-# ----------------------------------------------------------------------
 def run_batch(
     jobs: list[BatchJob],
     *,
     problems: dict | None = None,
     seed: int = 2023,
     config: SweepConfig | None = None,
-    pool: WorkerPool | None = None,
-    baseline_source: ExperimentRunner | None = None,
-    serial_runner: ExperimentRunner | None = None,
     runner_factory: Callable[..., ExperimentRunner] | None = None,
     factory_args: tuple | None = None,
-    **legacy,
 ) -> BatchReport:
     """Execute heterogeneous ``jobs``, in parallel, resumably, deduplicated.
 
-    Identity of a job is ``(app, device name, point label)`` — the same
-    label space the PR-1 checkpoints use — so duplicate jobs within the
-    batch evaluate once, and ``config.checkpoint`` (a JSONL or
-    ``.jsonl.gz`` file, shared across any mix of apps and devices)
-    satisfies previously-run jobs without simulating.  ``site`` overrides
-    are honoured per job but are *not* part of the identity (records do
-    not store them); do not mix site variants of the same point in one
-    label space.
+    Identity of a job is ``(app, device name, point label)`` — the label
+    space the checkpoints use — so duplicate jobs within the batch
+    evaluate once, and ``config.checkpoint`` (a JSONL or ``.jsonl.gz``
+    file, shared across any mix of apps and devices) satisfies
+    previously-run jobs without simulating.  ``site`` overrides are
+    honoured per job but are *not* part of the identity (records do not
+    store them); do not mix site variants of the same point in one label
+    space.
 
-    Execution policy lives in ``config`` (:class:`SweepConfig`); the PR-3
-    loose keywords (``max_workers``, ``chunk_size``, ...) remain accepted
-    through a :class:`DeprecationWarning` shim.  This is the blocking
-    drain of :class:`BatchStream` — construct the stream directly (or use
-    :meth:`BatchEngine.submit`) to consume records as chunks complete.
-
-    ``pool`` reuses a caller-owned :class:`WorkerPool` (its worker
-    processes stay warm afterwards); without one, ``config.workers > 1``
-    spins up a transient pool for this call only.
+    This is a transient :class:`BatchEngine` drained once; keep an engine
+    (and :meth:`BatchEngine.submit`) to reuse warm workers across calls or
+    consume records as chunks complete.
     """
-    cfg = resolve_config(config, "run_batch", **legacy)
-    return BatchStream(
-        jobs,
-        problems=problems,
-        seed=seed,
-        config=cfg,
-        pool=pool,
-        baseline_source=baseline_source,
-        serial_runner=serial_runner,
-        runner_factory=runner_factory,
-        factory_args=factory_args,
-    ).report()
+    with BatchEngine(
+        problems=problems, seed=seed, config=config,
+        runner_factory=runner_factory, factory_args=factory_args,
+    ) as engine:
+        return engine.submit(jobs).report()
 
 
-# ----------------------------------------------------------------------
 @dataclass
 class EngineStats:
     """Cumulative counters across one :class:`BatchEngine`'s lifetime."""
@@ -994,15 +508,23 @@ class EngineStats:
 class BatchEngine:
     """Session-scoped, persistent front-end to the batch layer.
 
-    Holds one parent :class:`ExperimentRunner` (the baseline cache and the
-    serial executor), one in-memory record cache keyed by the checkpoint
-    label space — so *independent callers* (Fig 6 and Fig 7, a search and
-    a figure) share overlapping points instead of simulating them twice —
-    and, for ``config.workers > 1``, one kept-alive :class:`WorkerPool`
-    reused by every :meth:`run_jobs` / :meth:`submit` / session call, so
-    consecutive batches amortize the pool spawn (``stats.pool_spawns``
-    asserts it).  ``close()`` (or the context manager) releases the pool;
-    ``config.idle_ttl`` reaps it automatically between bursts.
+    Holds one parent :class:`ExperimentRunner` (the baseline cache, and
+    the in-process executor when ``config.workers <= 1``), one in-memory
+    record cache keyed by the checkpoint label space — so *independent
+    callers* (Fig 6 and Fig 7, a search and a figure) share overlapping
+    points instead of simulating them twice — and, for
+    ``config.workers > 1``, one kept-alive :class:`WorkerPool` reused by
+    every stream, so consecutive batches amortize the pool spawn
+    (``stats.pool_spawns`` asserts it).  ``close()`` (or the context
+    manager) releases the pool; ``config.idle_ttl`` reaps it automatically
+    between bursts.
+
+    ``runner_factory``/``factory_args`` replace how executors build their
+    runner (pool workers and the in-process slot alike; for a pool it must
+    be a picklable top-level callable).  This is the fault-injection hook:
+    a custom factory may not build a content-deterministic
+    :class:`ExperimentRunner`, so it turns baseline sharing and the
+    variant cache off.
     """
 
     def __init__(
@@ -1012,34 +534,38 @@ class BatchEngine:
         seed: int = 2023,
         config: SweepConfig | None = None,
         runner: ExperimentRunner | None = None,
-        **legacy,
+        runner_factory: Callable[..., ExperimentRunner] | None = None,
+        factory_args: tuple | None = None,
     ) -> None:
-        self.config = resolve_config(config, "BatchEngine", **legacy)
+        self.config = config if config is not None else SweepConfig()
         self.runner = runner or ExperimentRunner(problems=problems, seed=seed)
+        self._stock = runner_factory is None
+        self._factory = runner_factory or _default_factory
+        self._args = (
+            factory_args
+            if factory_args is not None
+            else (self.runner.problems, self.runner.seed)
+        )
         self.stats = EngineStats()
         self.variant_cache = None
-        if self.config.variant_cache is not None:
+        if self._stock and self.config.variant_cache is not None:
             from repro.harness.pruning import resolve_variant_cache
 
             self.variant_cache = resolve_variant_cache(self.config.variant_cache)
         self._cache: dict[tuple, RunRecord] = {}
         self._dev_names: dict[str, str] = {}
+        self._slot: _RunnerSlot | None = None
         self.pool: WorkerPool | None = (
             WorkerPool(
                 self.config.workers,
-                _default_factory,
-                (self.runner.problems, self.runner.seed),
+                self._factory,
+                self._args,
                 idle_ttl=self.config.idle_ttl,
             )
             if self.config.workers > 1
             else None
         )
         self._closed = False
-
-    #: Back-compat: PR-3 callers read ``engine.max_workers``.
-    @property
-    def max_workers(self) -> int:
-        return self.config.workers
 
     def _key(self, job: BatchJob) -> tuple:
         if isinstance(job.device, DeviceSpec):
@@ -1051,77 +577,50 @@ class BatchEngine:
                 self._dev_names[job.device] = name
         return (job.app, name, job.point.label())
 
-    def _baseline_entries(self, app: str, device: str | DeviceSpec) -> dict:
-        """Resolve (and count) the pair's baseline in the parent runner."""
-        before = self.runner.baseline_computes
-        self.runner.baseline(app, device)
-        self.stats.baseline_runs += self.runner.baseline_computes - before
-        name = get_device(device).name
-        return {
-            k: v for k, v in self.runner.export_baselines().items()
-            if k[0] == app and k[1] == name
+    def _baselines_for(self, pairs: dict) -> tuple[dict, int]:
+        """Resolve the baselines of ``pairs`` (``(app, device name) ->
+        device``) in the parent runner; returns the cache entries to ship
+        with a chunk and how many had to be computed."""
+        runner = self.runner
+        before = runner.baseline_computes
+        for (app, _name), device in pairs.items():
+            runner.baseline(app, device)
+        entries = {
+            k: v for k, v in runner.export_baselines().items()
+            if (k[0], k[1]) in pairs
         }
+        return entries, runner.baseline_computes - before
+
+    def _inline_slot(self) -> _RunnerSlot:
+        """The in-process executor: the engine's own runner for the stock
+        factory (its baseline cache is the parent's), else a factory-built
+        one, created on first use."""
+        if self._slot is None:
+            self._slot = _RunnerSlot(
+                self._factory, self._args, self.runner if self._stock else None
+            )
+        return self._slot
 
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:
             self.stats.pool_spawns = self.pool.spawns
             self.stats.pool_respawns = self.pool.respawns
 
-    def _on_result(self, key: tuple, record: RunRecord) -> None:
-        self._cache[key] = record
-
-    def _on_stream_done(self, stream: BatchStream) -> None:
-        self.stats.executed += stream.evaluated
-        self.stats.skipped += stream.skipped
-        self.stats.pruned += stream.pruned
-        self.stats.variant_hits += stream.variant_hits
-        self.stats.worker_baseline_runs += stream.worker_baseline_runs
-        self.stats.elapsed += stream.elapsed
-        self._sync_pool_stats()
-
     def submit(
         self, jobs: list[BatchJob], *, config: SweepConfig | None = None
     ) -> "EngineStream":
-        """Start evaluating ``jobs``; returns a stream of their records.
+        """Start evaluating ``jobs``; returns the stream of their records.
 
-        The stream yields each job slot's :class:`RunRecord` as it becomes
-        available — cache hits immediately, fresh evaluations as their
-        chunks complete — so the caller overlaps consumption with the
-        pool's execution.  ``records()`` on the stream (what
-        :meth:`run_jobs` calls) drains it into the job-ordered list,
-        identical to the blocking path.  ``config`` overlays per-call
-        policy (e.g. a checkpoint) onto the engine's."""
-        cfg = self.config.merged(config)
-        keys = [self._key(job) for job in jobs]
-        self.stats.submitted += len(jobs)
-        fresh: OrderedDict[tuple, BatchJob] = OrderedDict()
-        hits = 0
-        for job, key in zip(jobs, keys):
-            if key in self._cache:
-                hits += 1
-            elif key not in fresh:
-                fresh[key] = job
-        deduped = (len(jobs) - hits) - len(fresh)
-        self.stats.cache_hits += hits
-        self.stats.deduped += deduped
-        inner: BatchStream | None = None
-        if fresh:
-            inner = BatchStream(
-                list(fresh.values()),
-                problems=self.runner.problems,
-                seed=self.runner.seed,
-                config=cfg,
-                pool=self.pool,
-                baseline_source=self.runner,
-                serial_runner=self.runner if cfg.workers <= 1 else None,
-                on_result=self._on_result,
-                on_done=self._on_stream_done,
-                variant_cache=self.variant_cache,
-            )
-            self.stats.baseline_runs += inner.baseline_runs
-        return EngineStream(
-            self, jobs, keys, inner, cache_hits=hits, deduped=deduped
-        )
+        The stream yields each job slot's :class:`RunRecord` as it settles
+        — cache, checkpoint, preflight and variant-cache slots at once,
+        fresh evaluations as their chunks complete — so the caller
+        overlaps consumption with the pool's execution.  ``records()`` /
+        ``report()`` drain it into the job-ordered result (what
+        :meth:`run_jobs` returns).  ``config`` overlays per-call policy
+        (e.g. a checkpoint) onto the engine's."""
+        stream = EngineStream(self, config=config, completion_order=True)
+        stream._submit(jobs)
+        return stream
 
     def run_jobs(self, jobs: list[BatchJob]) -> list[RunRecord]:
         """Evaluate ``jobs``, returning one record per job in job order."""
@@ -1129,11 +628,9 @@ class BatchEngine:
 
     def open_stream(
         self, *, config: SweepConfig | None = None, completion_order: bool = False
-    ) -> "StreamSession":
-        """Open an incremental submit/consume session on this engine."""
-        return StreamSession(
-            self, config=config, completion_order=completion_order
-        )
+    ) -> "EngineStream":
+        """Open an empty stream to feed incrementally with ``put``."""
+        return EngineStream(self, config=config, completion_order=completion_order)
 
     def run_sweep(
         self,
@@ -1171,128 +668,46 @@ class BatchEngine:
         self.close()
 
 
-class EngineStream:
-    """Records for one :meth:`BatchEngine.submit` call, as they land.
-
-    Yields one :class:`RunRecord` per submitted job slot: slots already in
-    the engine cache (or satisfied by the checkpoint / preflight) first,
-    in job order, then fresh evaluations in completion order — duplicates
-    of the same identity yield together.  ``records()`` drains the stream
-    and returns the job-ordered list, byte-identical to
-    :meth:`BatchEngine.run_jobs`."""
-
-    def __init__(
-        self,
-        engine: BatchEngine,
-        jobs: list[BatchJob],
-        keys: list[tuple],
-        inner: BatchStream | None,
-        cache_hits: int = 0,
-        deduped: int = 0,
-    ) -> None:
-        self._engine = engine
-        self._keys = keys
-        self._inner = inner
-        self.cache_hits = cache_hits
-        self.deduped = deduped
-        self._ready: deque[int] = deque()
-        self._waiting: OrderedDict[tuple, list[int]] = OrderedDict()
-        for idx, key in enumerate(keys):
-            if key in engine._cache:
-                self._ready.append(idx)
-            else:
-                self._waiting.setdefault(key, []).append(idx)
-        self._yielded = 0
-
-    def _promote(self) -> None:
-        cache = self._engine._cache
-        for key in [k for k in self._waiting if k in cache]:
-            self._ready.extend(self._waiting.pop(key))
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return self
-
-    def __next__(self) -> RunRecord:
-        while not self._ready and self._inner is not None:
-            nxt = next(self._inner, None)
-            if nxt is None and self._inner.pending == 0:
-                self._inner = None
-            self._promote()
-        if not self._ready:
-            raise StopIteration
-        idx = self._ready.popleft()
-        self._yielded += 1
-        return self._engine._cache[self._keys[idx]]
-
-    @property
-    def pending(self) -> int:
-        """Job slots not yet yielded."""
-        return len(self._keys) - self._yielded
-
-    def records(self) -> list[RunRecord]:
-        """Drain the stream; all records in job order."""
-        for _ in self:
-            pass
-        cache = self._engine._cache
-        return [cache[key] for key in self._keys]
-
-    def report(self) -> BatchReport:
-        """Drain into a blocking-path :class:`BatchReport`.
-
-        Engine cache hits count as ``skipped`` — like checkpoint hits,
-        they are slots satisfied without running this call."""
-        inner = self._inner
-        records = self.records()
-        if inner is None:
-            return BatchReport(
-                records=records,
-                evaluated=0,
-                skipped=self.cache_hits,
-                deduped=self.deduped,
-            )
-        return BatchReport(
-            records=records,
-            evaluated=inner.evaluated,
-            skipped=inner.skipped + self.cache_hits,
-            deduped=inner.deduped + self.deduped,
-            pruned=inner.pruned,
-            variant_hits=inner.variant_hits,
-            baseline_runs=inner.baseline_runs,
-            worker_baseline_runs=inner.worker_baseline_runs,
-            elapsed=inner.elapsed,
-            checkpoint=(
-                str(inner.config.checkpoint)
-                if inner.config.checkpoint is not None else None
-            ),
-            extra={"pool_respawns": inner.pool_respawns},
-        )
-
-    def close(self) -> None:
-        """Stop early; completed work stays absorbed, the rest is dropped."""
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
-
-
 @dataclass(frozen=True)
 class Completion:
-    """One settled ticket of a completion-order :class:`StreamSession`."""
+    """One settled ticket of a completion-order :class:`EngineStream`."""
 
     ticket: int
     record: RunRecord
-    #: How the record was obtained: ``"run"`` (simulated by this session),
-    #: ``"cache"`` (engine record cache), ``"variant"`` (variant cache), or
-    #: ``"preflight"`` (statically infeasible, never simulated).
+    #: How the record was obtained: ``"run"`` (simulated by this stream),
+    #: ``"cache"`` (engine record cache, or an earlier slot of the stream),
+    #: ``"checkpoint"`` (resumed from ``config.checkpoint``),
+    #: ``"variant"`` (variant cache), or ``"preflight"`` (statically
+    #: infeasible, never simulated).
     origin: str
 
 
-class StreamSession:
-    """Incremental submit / consume session on an engine.
+class _InlineChunk:
+    """A chunk run in-process when first awaited: the serial stand-in for
+    a pool future, so both paths settle through one loop."""
 
-    :meth:`put` enqueues one :class:`BatchJob` (:meth:`put_chunk` several,
-    dispatched as one pool chunk) and returns its integer ticket, while
-    earlier tickets keep evaluating on the engine's persistent pool.  Two
-    consumption modes, fixed at construction:
+    def __init__(self, fn: Callable, *args) -> None:
+        self._call = partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+
+class EngineStream:
+    """A ticketed stream of evaluations on a :class:`BatchEngine`.
+
+    Jobs enter through :meth:`put` (one), :meth:`put_chunk` (several,
+    dispatched as one chunk) or :meth:`BatchEngine.submit` (a whole batch:
+    ordered per ``config.order``, then cut into :class:`AdaptiveChunker`-
+    sized chunks round-robin across (app, device) groups as slots free
+    up).  Each job gets an integer ticket.  A job settles at once when an
+    earlier slot of the stream, the engine cache, ``config.checkpoint``
+    (counted ``skipped``), the static preflight or the variant cache
+    answers it; the rest are simulated.  Every record this stream settles
+    lands in the engine cache and — unless the file already holds the row
+    — in ``config.checkpoint``.
+
+    Two consumption modes, fixed at construction:
 
     * ticket order (default): iteration yields ``(ticket, record)``
       strictly in ticket order, buffering out-of-order completions.
@@ -1300,17 +715,16 @@ class StreamSession:
       order — an algorithm that decides its next submission from consumed
       results (the steady-state evolutionary search) behaves identically
       at any worker count.
-    * completion order (``completion_order=True``): :meth:`next_completed`
-      returns each ticket's :class:`Completion` as soon as it settles —
-      the feed of dependency-driven schedulers (the pruned sweep), which
-      keep :attr:`capacity` chunks :attr:`inflight` so no worker idles.
+    * completion order (``completion_order=True``, what
+      :meth:`BatchEngine.submit` opens): :meth:`next_completed` returns
+      each ticket's :class:`Completion` as soon as it settles — the feed
+      of dependency-driven schedulers (the pruned sweep), which keep
+      :attr:`capacity` chunks :attr:`inflight` so no worker idles — and
+      iteration yields the bare records in that order.
 
-    With a serial engine (``workers <= 1``) evaluation happens lazily on
-    consumption, in submission order, producing identical records.  The
-    session shares the engine's record cache, baseline cache, variant
-    cache, static preflight, and crash respawn policy; results stream into
-    ``config.checkpoint`` when set (the file is *written*, not consulted —
-    the engine cache is the in-session dedupe).
+    In-process chunks (``workers <= 1``) run when the consumer awaits
+    them.  :meth:`records` / :meth:`report` drain the stream into the
+    ticket-ordered result; a drained stream closes itself.
     """
 
     def __init__(
@@ -1319,41 +733,44 @@ class StreamSession:
         *,
         config: SweepConfig | None = None,
         completion_order: bool = False,
-    ):
+    ) -> None:
         self._engine = engine
         self._t0 = time.monotonic()
-        self._cfg = engine.config.merged(config)
+        self.config = cfg = engine.config.merged(config)
         self._completion_order = completion_order
+        #: This stream's share of the engine's counters.
+        self._counts = EngineStats()
+        self.pool_respawns = 0
+        self.elapsed = 0.0
         self._records: dict[int, RunRecord] = {}
         self._completed: deque[Completion] = deque()
         self._next_ticket = 0
         self._next_out = 0
-        self._futures: dict = {}
-        self._queue: deque = deque()
+        self._seen: set[tuple] = set()
+        #: Keys being simulated -> the tickets waiting on them.
         self._key_tickets: dict[tuple, list[int]] = {}
         self._vkeys: dict[tuple, str] = {}
+        self._futures: dict = {}
+        self._backlog: OrderedDict[tuple, deque] = OrderedDict()
+        self._queued = self._feasible = 0
         self._respawns_left = MAX_POOL_RESPAWNS
-        self._chunker = AdaptiveChunker(
-            target_seconds=self._cfg.target_chunk_seconds
-        )
-        pre = self._cfg.preflight
-        if pre is True:
-            from repro.analysis.preflight import make_preflight
+        self._chunker = AdaptiveChunker(target_seconds=cfg.target_chunk_seconds)
+        self._shares = engine._stock and cfg.share_baselines
+        #: ``True`` until first use builds the stock analyzer.
+        self._preflight = cfg.preflight or None
+        self._vcache = None
+        if engine._stock:
+            self._vcache = engine.variant_cache
+            if self._vcache is None and cfg.variant_cache is not None:
+                from repro.harness.pruning import resolve_variant_cache
 
-            pre = make_preflight(engine.runner.problems)
-        self._preflight = pre or None
-        self._vcache = engine.variant_cache
-        if self._vcache is None and self._cfg.variant_cache is not None:
-            from repro.harness.pruning import resolve_variant_cache
-
-            self._vcache = resolve_variant_cache(self._cfg.variant_cache)
-        self._writer = (
-            CheckpointWriter(self._cfg.checkpoint)
-            if self._cfg.checkpoint is not None else None
-        )
-        self._serial_base0 = (
-            engine.runner.baseline_computes if engine.pool is None else None
-        )
+                self._vcache = resolve_variant_cache(cfg.variant_cache)
+        self._progress = progress_callback(cfg.progress)
+        #: Checkpoint rows by key (loaded on first admission), plus the
+        #: ones resumed by this stream (the surrogate's training set).
+        self._ck_rows: dict[tuple, RunRecord] | None = None
+        self._resumed: dict[tuple, RunRecord] = {}
+        self._writer: CheckpointWriter | None = None
         if engine.pool is not None:
             engine.pool.acquire()
         self._closed = False
@@ -1369,8 +786,8 @@ class StreamSession:
 
     @property
     def inflight(self) -> int:
-        """Chunks dispatched (or queued in-process) and not yet settled."""
-        return len(self._futures) + len(self._queue)
+        """Chunks dispatched and not yet settled."""
+        return len(self._futures)
 
     def chunk_size(self, ready: int, group=None) -> int:
         """Points for the next chunk when ``ready`` points wait: spread
@@ -1380,7 +797,7 @@ class StreamSession:
         if self._engine.pool is None:
             return 1
         idle = max(1, self.capacity - self.inflight)
-        cap = self._cfg.chunk_size or self._chunker.next_size(group)
+        cap = self.config.chunk_size or self._chunker.next_size(group)
         return max(1, min(-(-ready // idle), cap))
 
     def put(self, job: BatchJob) -> int:
@@ -1388,149 +805,257 @@ class StreamSession:
         return self.put_chunk([job])[0]
 
     def put_chunk(self, jobs: list[BatchJob]) -> list[int]:
-        """Enqueue ``jobs``; the ones needing simulation share one chunk.
+        """Enqueue ``jobs``; the ones needing simulation share one chunk."""
+        tickets, fresh = self._admit(jobs)
+        if fresh:
+            self._queued += len(fresh)
+            self._dispatch(fresh)
+        return tickets
 
-        Each job is resolved without simulating when it can be — engine
-        cache, a duplicate of an outstanding job, the static preflight,
-        the variant cache, in that order — and settles immediately."""
+    def _submit(self, jobs: Iterable[BatchJob]) -> None:
+        """Enqueue a whole batch into the round-robin backlog."""
+        _tickets, fresh = self._admit(jobs)
+        if not fresh:
+            return
+        self._queued += len(fresh)
+        pending = OrderedDict(fresh)
+        cfg = self.config
+        if cfg.order and len(pending) > 1:
+            # Changes dispatch order only: records stay ticket-ordered.
+            pending = _order_pending(
+                pending, cfg.order, self._resumed,
+                float(cfg.prune) if isinstance(cfg.prune, float) else None,
+                self._engine._key,
+            )
+        for key, job in pending.items():
+            self._backlog.setdefault((job.app, key[1]), deque()).append((key, job))
+        self._fill()
+
+    def _admit(self, jobs: Iterable[BatchJob]) -> tuple[list[int], list[tuple]]:
+        """Ticket ``jobs``, settling every one that needs no simulation;
+        returns the tickets and the ``(key, job)`` entries left to run."""
         if self._closed:
-            raise RuntimeError("session is closed")
+            raise RuntimeError("stream is closed")
         engine = self._engine
+        if self.config.checkpoint is not None and self._ck_rows is None:
+            self._ck_rows = self._load_checkpoint()
         tickets: list[int] = []
-        chunk: list[tuple] = []
+        fresh: list[tuple] = []
+        rows: list[tuple] = []
         for job in jobs:
             ticket = self._next_ticket
             self._next_ticket += 1
             tickets.append(ticket)
             key = engine._key(job)
-            engine.stats.submitted += 1
+            self._tally("submitted")
+            if key in self._seen:
+                self._tally("deduped")
+                if key in self._key_tickets:
+                    self._key_tickets[key].append(ticket)
+                else:
+                    self._deliver(ticket, engine._cache[key], "cache")
+                continue
+            self._seen.add(key)
             if key in engine._cache:
-                engine.stats.cache_hits += 1
-                self._deliver(ticket, engine._cache[key], "cache")
-                continue
-            if key in self._key_tickets:
-                engine.stats.deduped += 1
-                self._key_tickets[key].append(ticket)
-                continue
-            if self._preflight is not None:
-                rec = self._preflight(job.app, job.device, job.point, site=job.site)
-                if rec is not None:
-                    engine.stats.pruned += 1
-                    self._resolve(key, rec, [ticket], "preflight")
-                    continue
-            vcache = self._vcache
-            if vcache is not None:
-                vkey = vcache.key_for(
-                    job.app, job.device, job.point, site=job.site,
-                    seed=engine.runner.seed, problem=engine.runner.problems,
-                    sanitize=self._cfg.sanitize,
-                )
-                rec = vcache.get(vkey)
-                if rec is not None:
-                    engine.stats.variant_hits += 1
-                    self._resolve(key, rec, [ticket], "variant")
-                    continue
-                self._vkeys[key] = vkey
-            self._key_tickets[key] = [ticket]
-            chunk.append((key, job))
-        if chunk:
-            if engine.pool is None:
-                self._queue.append(chunk)
+                self._tally("cache_hits")
+                rec, origin = engine._cache[key], "cache"
+            elif self._ck_rows is not None and key in self._ck_rows:
+                self._tally("skipped")
+                rec, origin = self._ck_rows[key], "checkpoint"
+                self._resumed[key] = rec
+            elif self._preflight and (rec := self._vet(job)) is not None:
+                self._tally("pruned")
+                origin = "preflight"
+            elif (rec := self._variant_hit(key, job)) is not None:
+                self._tally("variant_hits")
+                origin = "variant"
             else:
-                self._dispatch(chunk)
-        return tickets
+                self._key_tickets[key] = [ticket]
+                fresh.append((key, job))
+                continue
+            engine._cache[key] = rec
+            rows.append((key, rec))
+            self._deliver(ticket, rec, origin)
+        self._checkpoint(rows)
+        return tickets, fresh
+
+    def _load_checkpoint(self) -> dict[tuple, RunRecord]:
+        rows: dict[tuple, RunRecord] = {}
+        if Path(self.config.checkpoint).exists():
+            for rec in ResultsDB.load(self.config.checkpoint):
+                rows[(rec.app, rec.device, SweepPoint.of_record(rec).label())] = rec
+        return rows
+
+    def _vet(self, job: BatchJob) -> RunRecord | None:
+        """The static preflight's verdict (``None``: may run)."""
+        if self._preflight is True:
+            from repro.analysis.preflight import make_preflight
+
+            self._preflight = make_preflight(self._engine.runner.problems)
+        return self._preflight(job.app, job.device, job.point, site=job.site)
+
+    def _variant_hit(self, key: tuple, job: BatchJob) -> RunRecord | None:
+        """A record of the identical lowered configuration from another
+        campaign; on a miss, remember the content key for the result."""
+        if self._vcache is None:
+            return None
+        runner = self._engine.runner
+        vkey = self._vcache.key_for(
+            job.app, job.device, job.point, site=job.site,
+            seed=runner.seed, problem=runner.problems,
+            sanitize=self.config.sanitize,
+        )
+        rec = self._vcache.get(vkey)
+        if rec is None:
+            self._vkeys[key] = vkey
+        return rec
+
+    def _tally(self, name: str, n: int = 1) -> None:
+        for counts in (self._counts, self._engine.stats):
+            setattr(counts, name, getattr(counts, name) + n)
+
+    def _checkpoint(self, rows: list[tuple]) -> None:
+        """Append the ``(key, record)`` rows ``config.checkpoint`` lacks."""
+        if self._ck_rows is None:
+            return
+        new = []
+        for key, rec in rows:
+            if key not in self._ck_rows:
+                self._ck_rows[key] = rec
+                new.append(rec)
+        if new:
+            if self._writer is None:
+                self._writer = CheckpointWriter(self.config.checkpoint)
+            self._writer.write(new)
+
+    # -- dispatch -------------------------------------------------------
+    def _fill(self) -> None:
+        """Dispatch backlog chunks, round-robin across (app, device)
+        groups for fair mixing, while a slot is free."""
+        while self._backlog and len(self._futures) < self.capacity:
+            group, queue = next(iter(self._backlog.items()))
+            size = self.config.chunk_size or self._chunker.next_size(group)
+            chunk = [queue.popleft() for _ in range(min(size, len(queue)))]
+            if queue:
+                self._backlog.move_to_end(group)
+            else:
+                del self._backlog[group]
+            self._dispatch(chunk)
 
     def _dispatch(self, chunk: list[tuple]) -> None:
+        engine = self._engine
+        cfg = self.config
         baselines = None
-        if self._cfg.share_baselines:
-            baselines = {}
-            for pair in dict.fromkeys((job.app, job.device) for _key, job in chunk):
-                baselines.update(self._engine._baseline_entries(*pair))
-        payload = [(job.app, job.device, job.point, job.site) for _key, job in chunk]
-        try:
-            fut = self._engine.pool.submit(
-                _run_batch_chunk, payload, self._cfg.retries,
-                baselines, self._cfg.sanitize,
+        if self._shares:
+            baselines, computed = engine._baselines_for(
+                {(job.app, key[1]): job.device for key, job in chunk}
             )
-        except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
-            self._recover([chunk])
-            return
+            self._tally("baseline_runs", computed)
+        payload = [(job.app, job.device, job.point, job.site) for _key, job in chunk]
+        if engine.pool is None:
+            fut = _InlineChunk(
+                engine._inline_slot().run, payload, cfg.retries, baselines,
+                cfg.sanitize,
+            )
+        else:
+            try:
+                fut = engine.pool.submit(
+                    _run_batch_chunk, payload, cfg.retries, baselines, cfg.sanitize
+                )
+            except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
+                self._recover([chunk])
+                return
         self._futures[fut] = chunk
 
     # -- completion -----------------------------------------------------
     def _deliver(self, ticket: int, record: RunRecord, origin: str) -> None:
+        self._records[ticket] = record
         if self._completion_order:
             self._completed.append(Completion(ticket, record, origin))
-        else:
-            self._records[ticket] = record
 
-    def _resolve(
-        self, key: tuple, record: RunRecord, tickets: list[int], origin: str
-    ) -> None:
-        self._engine._cache[key] = record
-        if self._writer is not None:
-            self._writer.write([record])
-        for ticket in tickets:
-            self._deliver(ticket, record, origin)
-
-    def _settle(self, key: tuple, record: RunRecord) -> None:
-        self._engine.stats.executed += 1
-        vkey = self._vkeys.pop(key, None)
-        if vkey is not None and not (record.note or "").startswith(
-            ("WorkerError", "WorkerCrash")
-        ):
-            self._vcache.put(vkey, record)
-        self._resolve(key, record, self._key_tickets.pop(key, []), "run")
+    def _settle(self, chunk: list[tuple], records: list[RunRecord]) -> None:
+        """Absorb one simulated chunk into the caches, the checkpoint, the
+        waiting tickets and the progress callback."""
+        cache = self._engine._cache
+        for (key, _job), record in zip(chunk, records):
+            self._tally("executed")
+            self._feasible += record.feasible
+            vkey = self._vkeys.pop(key, None)
+            if vkey is not None and not (record.note or "").startswith(
+                ("WorkerError", "WorkerCrash")
+            ):
+                # Crash/retry-exhaustion records reflect machine state, not
+                # the configuration's content — never cache them.
+                self._vcache.put(vkey, record)
+            cache[key] = record
+            for ticket in self._key_tickets.pop(key, ()):
+                self._deliver(ticket, record, "run")
+        self._checkpoint([(key, rec) for (key, _job), rec in zip(chunk, records)])
+        if self._progress is not None:
+            done = self._counts.executed
+            self._progress(SweepProgress(
+                total=self._queued,
+                done=done,
+                feasible=self._feasible,
+                infeasible=done - self._feasible,
+                skipped=self._counts.skipped,
+                elapsed=time.monotonic() - self._t0,
+                deduped=self._counts.deduped,
+            ))
 
     def _recover(self, casualties: list[list]) -> None:
+        """Respawn a broken pool and re-run its lost chunks (budgeted)."""
         casualties = casualties + list(self._futures.values())
         self._futures.clear()
         if self._respawns_left > 0:
             self._respawns_left -= 1
+            self.pool_respawns += 1
             self._engine.pool.respawn()
             for chunk in casualties:
                 self._dispatch(chunk)
         else:
             why = (
                 f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
-                f"job abandoned"
+                f"chunk abandoned"
             )
             for chunk in casualties:
-                for key, job in chunk:
-                    self._settle(key, _crash_record(job, why))
+                self._settle(chunk, [_crash_record(job, why) for _key, job in chunk])
 
     def _advance(self) -> None:
-        """Resolve at least one outstanding chunk."""
-        engine = self._engine
-        if engine.pool is None:
-            for key, job in self._queue.popleft():
-                record = run_point_with_retry(
-                    engine.runner, job.app, job.device, job.point, site=job.site,
-                    retries=self._cfg.retries, sanitize=self._cfg.sanitize,
-                )
-                self._settle(key, record)
+        """Settle at least one dispatched chunk, then refill free slots."""
+        self._fill()
+        if not self._futures:
             return
-        finished, _ = wait(self._futures, return_when=FIRST_COMPLETED)
+        pool = self._engine.pool
+        if pool is None:
+            finished = [next(iter(self._futures))]
+        else:
+            finished, _ = wait(self._futures, return_when=FIRST_COMPLETED)
         casualties = []
         for fut in finished:
             chunk = self._futures.pop(fut)
             try:
                 records, seconds, computes = fut.result()
-            except Exception:  # noqa: BLE001 — dead worker broke the pool
+            except Exception:  # noqa: BLE001 — a dead worker breaks the pool
+                if pool is None:
+                    raise
                 casualties.append(chunk)
                 continue
-            engine.stats.worker_baseline_runs += computes
+            self._tally("worker_baseline_runs", computes)
             key0, job0 = chunk[0]
             self._chunker.observe((job0.app, key0[1]), len(chunk), seconds)
-            for (key, _job), record in zip(chunk, records):
-                self._settle(key, record)
+            self._settle(chunk, records)
         if casualties:
             self._recover(casualties)
+        self._fill()
 
+    # -- consumption ----------------------------------------------------
     @property
-    def outstanding(self) -> int:
+    def pending(self) -> int:
         """Tickets submitted but not yet consumed."""
         return self._next_ticket - self._next_out
+
+    outstanding = pending
 
     @property
     def settled(self) -> int:
@@ -1541,9 +1066,9 @@ class StreamSession:
         """The next settled ticket in completion order, blocking while work
         is in flight; ``None`` once every ticket has been returned."""
         if not self._completion_order:
-            raise RuntimeError("session consumes in ticket order")
+            raise RuntimeError("stream consumes in ticket order")
         try:
-            while not self._completed and self.inflight:
+            while not self._completed and (self._futures or self._backlog):
                 self._advance()
         except BaseException:
             self.close()
@@ -1553,13 +1078,18 @@ class StreamSession:
         self._next_out += 1
         return self._completed.popleft()
 
-    def __iter__(self) -> Iterator[tuple[int, RunRecord]]:
+    def __iter__(self) -> Iterator:
         return self
 
-    def __next__(self) -> tuple[int, RunRecord]:
+    def __next__(self):
         if self._completion_order:
-            raise RuntimeError("session consumes in completion order")
+            done = self.next_completed()
+            if done is None:
+                self.close()
+                raise StopIteration
+            return done.record
         if self._next_out >= self._next_ticket:
+            self.close()
             raise StopIteration
         try:
             while self._next_out not in self._records:
@@ -1569,28 +1099,66 @@ class StreamSession:
             raise
         ticket = self._next_out
         self._next_out += 1
-        return ticket, self._records.pop(ticket)
+        return ticket, self._records[ticket]
+
+    def records(self) -> list[RunRecord]:
+        """Drain the stream; one record per ticket, in ticket (job) order."""
+        for _ in self:
+            pass
+        return [self._records[t] for t in range(self._next_ticket)]
+
+    def report(self) -> BatchReport:
+        """Drain into a :class:`BatchReport`.
+
+        Engine cache hits count as ``skipped`` — like checkpoint rows,
+        they are slots satisfied without running this call."""
+        records = self.records()
+        counts = self._counts
+        return BatchReport(
+            records=records,
+            evaluated=counts.executed,
+            skipped=counts.skipped + counts.cache_hits,
+            deduped=counts.deduped,
+            pruned=counts.pruned,
+            variant_hits=counts.variant_hits,
+            baseline_runs=counts.baseline_runs,
+            worker_baseline_runs=counts.worker_baseline_runs,
+            elapsed=self.elapsed,
+            checkpoint=(
+                str(self.config.checkpoint)
+                if self.config.checkpoint is not None else None
+            ),
+            extra={
+                "chunk_log": list(self._chunker.log),
+                "pool_respawns": self.pool_respawns,
+                "variant_hits": counts.variant_hits,
+            },
+        )
 
     def close(self) -> None:
-        """Absorb in-flight work into the engine cache and release the pool."""
+        """Stop dispatching and release the pool.
+
+        Chunks already on the pool are absorbed (engine cache, checkpoint),
+        so a partially-consumed stream never loses finished work; the
+        backlog and unstarted in-process chunks are dropped."""
         if self._closed:
             return
         self._closed = True
-        self._queue.clear()
+        self._backlog.clear()
+        engine = self._engine
+        if engine.pool is None:
+            self._futures.clear()
         while self._futures:
             self._advance()
         if self._writer is not None:
             self._writer.close()
-        if self._engine.pool is not None:
-            self._engine.pool.release()
-        elif self._serial_base0 is not None:
-            self._engine.stats.baseline_runs += (
-                self._engine.runner.baseline_computes - self._serial_base0
-            )
-        self._engine.stats.elapsed += time.monotonic() - self._t0
-        self._engine._sync_pool_stats()
+        if engine.pool is not None:
+            engine.pool.release()
+        self.elapsed = time.monotonic() - self._t0
+        engine.stats.elapsed += self.elapsed
+        engine._sync_pool_stats()
 
-    def __enter__(self) -> "StreamSession":
+    def __enter__(self) -> "EngineStream":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -12,16 +12,15 @@ for free:
 
 * each unique (app, device) baseline is computed once in the parent and
   shipped to every worker, instead of once per worker;
-* chunks are sized adaptively from observed points/sec instead of the
-  fixed :data:`DEFAULT_CHUNK_SIZE` (pin them via ``config.chunk_size``);
+* chunks are sized adaptively from observed points/sec (pin them via
+  ``config.chunk_size``);
 * duplicate points in the input collapse to a single evaluation.
 
 Execution policy arrives as one frozen
-:class:`~repro.harness.config.SweepConfig` (the PR-1/PR-3 loose keywords
-remain accepted through a :class:`DeprecationWarning` shim), and passing
-``engine=`` routes the sweep through a persistent
-:class:`~repro.harness.batch.BatchEngine` — its warm worker pool and
-session record cache — instead of a per-call pool.
+:class:`~repro.harness.config.SweepConfig`.  The sweep is one
+:meth:`~repro.harness.batch.BatchEngine.submit` drained into a report:
+on the ``engine=`` given — its warm worker pool and session record cache —
+or on a transient one (:func:`~repro.harness.batch.run_batch`).
 
 Durability is unchanged: completed records stream into a
 :class:`~repro.harness.database.CheckpointWriter` as chunks finish, and a
@@ -41,20 +40,13 @@ from typing import Callable
 
 from repro.gpusim.device import DeviceSpec
 from repro.harness.batch import (
-    TARGET_CHUNK_SECONDS,  # noqa: F401 — canonical home is harness.config
     BatchJob,
-    _default_factory,  # noqa: F401 — re-exported for pickling compatibility
     run_batch,
     run_point_with_retry,  # noqa: F401 — public retry wrapper lives in batch
 )
-from repro.harness.config import UNSET, SweepConfig, resolve_config
+from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
-
-#: Legacy fixed points-per-chunk bound (PR 1).  The batch layer now sizes
-#: chunks adaptively; pass ``SweepConfig(chunk_size=DEFAULT_CHUNK_SIZE)``
-#: to restore the old static sharding.
-DEFAULT_CHUNK_SIZE = 16
 
 
 @dataclass
@@ -94,7 +86,6 @@ def run_sweep_parallel(
     engine=None,
     runner_factory: Callable[..., ExperimentRunner] | None = None,
     factory_args: tuple | None = None,
-    **legacy,
 ) -> SweepReport:
     """Execute ``points`` for one app/device, in parallel, resumably.
 
@@ -125,22 +116,19 @@ def run_sweep_parallel(
       byte-identical to a preflight-disabled run.  Pruned records are
       checkpointed like any other, so a resumed sweep does not re-vet them.
 
-    The PR-1 loose keywords (``max_workers=``, ``checkpoint=``, ...) remain
-    accepted and are overlaid onto ``config`` with a
-    :class:`DeprecationWarning`.
-
     ``engine`` routes the sweep through an existing persistent
     :class:`~repro.harness.batch.BatchEngine` — reusing its warm worker
     pool and session record cache — with this call's ``config`` overlaid
-    on the engine's for the duration of the call.
+    on the engine's for the duration of the call (the engine's own pool
+    decides how many workers run).
 
-    ``runner_factory``/``factory_args`` override worker construction (it
-    must be a picklable top-level callable); the default builds
-    ``ExperimentRunner(problems=problems, seed=seed)``.  Custom factories
-    disable baseline sharing (the factory may not build an
-    :class:`ExperimentRunner` at all).
+    ``runner_factory``/``factory_args`` override runner construction on
+    the transient engine (see :class:`~repro.harness.batch.BatchEngine`);
+    the default builds ``ExperimentRunner(problems=problems, seed=seed)``.
+    Custom factories disable baseline sharing and the variant cache (the
+    factory may not build an :class:`ExperimentRunner` at all).
     """
-    cfg = resolve_config(config, "run_sweep_parallel", **legacy)
+    cfg = config if config is not None else SweepConfig()
     if cfg.prune:
         # Lattice pruning dispatches ancestor-first as dependencies
         # resolve — a different driver entirely (see

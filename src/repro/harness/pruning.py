@@ -663,7 +663,7 @@ def run_sweep_pruned(
     shape as :func:`~repro.harness.executor.run_sweep_parallel`.
 
     Dispatch is dependency-driven (:class:`DataflowScheduler`) over one
-    completion-order :class:`~repro.harness.batch.StreamSession` on a
+    completion-order :class:`~repro.harness.batch.EngineStream` on a
     :class:`~repro.harness.batch.BatchEngine`: a point is submitted as soon
     as every lattice ancestor is decided — or recorded as a ``pruned`` row
     right away when one violates the bound — ready points are ordered by
@@ -677,9 +677,9 @@ def run_sweep_pruned(
 
     ``config.checkpoint`` is managed *here* (loaded once for resume, each
     decided row appended as it is decided — in completion order when
-    ``workers > 1``); the session runs with the checkpoint stripped so the
-    engine does not double-write.  ``extra["waves"]`` counts the lattice
-    levels this call resolved.
+    ``workers > 1``); the stream runs with the checkpoint stripped so it
+    neither resumes nor writes rows on its own.  ``extra["waves"]`` counts
+    the lattice levels this call resolved.
     """
     from repro.harness.batch import BatchEngine, BatchJob
     from repro.harness.executor import SweepReport
@@ -710,7 +710,7 @@ def run_sweep_pruned(
         CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
     )
     progress = progress_callback(cfg.progress)
-    # The session runs without the checkpoint and progress (both managed
+    # The stream runs without the checkpoint and progress (both managed
     # here) and without prune / order (this driver is both).
     stream_cfg = cfg.replace(
         checkpoint=None, prune=False, order=False, progress=False
@@ -764,30 +764,30 @@ def run_sweep_pruned(
                 elapsed=time.monotonic() - t0,
             ))
 
-    session = engine.open_stream(config=stream_cfg, completion_order=True)
+    stream = engine.open_stream(config=stream_cfg, completion_order=True)
     inflight: dict[int, SweepPoint] = {}
     group = (app, dev_name)
     try:
         while True:
             flush()
-            while not sched.done and session.inflight < session.capacity:
+            while not sched.done and stream.inflight < stream.capacity:
                 if sched.ready:
                     if cfg.order and sched.ready_changed:
                         sched.order_ready(order)
-                    batch = sched.take(session.chunk_size(len(sched.ready), group))
+                    batch = sched.take(stream.chunk_size(len(sched.ready), group))
                 else:
                     spec = sched.speculate()
                     if spec is None:
                         break
                     batch = [spec]
-                tickets = session.put_chunk(
+                tickets = stream.put_chunk(
                     [BatchJob(app, device, pt, site=site) for pt in batch]
                 )
                 inflight.update(zip(tickets, batch))
             # Once every point is decided, whatever is still in flight is a
             # speculative run of a pruned point: drained here, it counts as
             # discarded.
-            done = session.next_completed()
+            done = stream.next_completed()
             if done is None:
                 if sched.done:
                     break
@@ -796,9 +796,9 @@ def run_sweep_pruned(
                 )
             while done is not None:
                 sched.complete(inflight.pop(done.ticket), done.record, done.origin)
-                done = session.next_completed() if session.settled else None
+                done = stream.next_completed() if stream.settled else None
     finally:
-        session.close()
+        stream.close()
         if writer is not None:
             writer.close()
         variant_hits = engine.stats.variant_hits - variant_hits0

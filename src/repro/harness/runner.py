@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from repro.apps.common import AppResult, Benchmark
 from repro.errors import ReproError, SharedMemoryError, UnsupportedApproximationError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.harness.config import UNSET, SweepConfig, resolve_config
+from repro.harness.config import SweepConfig
 from repro.harness.metrics import convergence_speedup, error, speedup
 from repro.harness.sweep import SweepPoint
 
@@ -201,7 +201,6 @@ class ExperimentRunner:
         *,
         config: "SweepConfig | None" = None,
         engine=None,
-        **legacy,
     ) -> list[RunRecord]:
         """Run a list of sweep points, returning all records in input order.
 
@@ -216,10 +215,8 @@ class ExperimentRunner:
         ``True`` for a stderr line or a callable receiving
         :class:`~repro.harness.reporting.SweepProgress` — honoured by the
         serial path too.  ``engine`` routes the sweep through a persistent
-        :class:`~repro.harness.batch.BatchEngine`.  The PR-1 loose keywords
-        (``parallel=``, ``checkpoint=``, ...) remain accepted with a
-        :class:`DeprecationWarning`."""
-        cfg = resolve_config(config, "ExperimentRunner.run_sweep", **legacy)
+        :class:`~repro.harness.batch.BatchEngine`."""
+        cfg = config if config is not None else SweepConfig()
         if engine is not None or cfg.workers > 1 or cfg.checkpoint is not None or cfg.preflight:
             from repro.harness.executor import run_sweep_parallel
 

@@ -12,12 +12,13 @@ same :class:`~repro.harness.sweep.SweepPoint` space:
   keep the best configurations under the error budget, mutate one axis at
   a time toward grid neighbours, and resample when stuck.
 
-Both evaluate through the batch layer when given ``max_workers > 1`` or a
-persistent :class:`~repro.harness.batch.BatchEngine`.  The evolutionary
-loop is *streaming*: it keeps ``population`` evaluations in flight on a
-:class:`~repro.harness.batch.StreamSession` and proposes the next
+Random search evaluates through the batch layer when given
+``max_workers > 1`` or a persistent
+:class:`~repro.harness.batch.BatchEngine`.  The evolutionary loop always
+does, and is *streaming*: it keeps ``population`` evaluations in flight on
+an :class:`~repro.harness.batch.EngineStream` and proposes the next
 offspring the moment a result is consumed, instead of barriering per
-generation — and because the session yields results strictly in
+generation — and because the stream yields results strictly in
 submission order, the evaluated point sequence depends only on the seed,
 so serial and parallel runs produce identical records.
 
@@ -29,7 +30,6 @@ subject to ``error <= max_error``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,39 +151,6 @@ def _neighbors(point: SweepPoint, space: list[SweepPoint]) -> list[SweepPoint]:
     return out
 
 
-class _SerialFeed:
-    """Minimal in-process stand-in for a :class:`StreamSession`.
-
-    Jobs queue on ``put`` and evaluate lazily when consumed — the same
-    submission-order semantics the parallel session provides — so the
-    steady-state loop below is one code path at any worker count."""
-
-    def __init__(self, runner: ExperimentRunner) -> None:
-        self._runner = runner
-        self._queue: deque = deque()
-        self._ticket = 0
-
-    def put(self, job) -> int:
-        self._queue.append(job)
-        ticket = self._ticket
-        self._ticket += 1
-        return ticket
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if not self._queue:
-            raise StopIteration
-        job = self._queue.popleft()
-        record = self._runner.run_point(job.app, job.device, job.point, site=job.site)
-        ticket = self._ticket - len(self._queue) - 1
-        return ticket, record
-
-    def close(self) -> None:
-        self._queue.clear()
-
-
 def evolutionary_search(
     runner: ExperimentRunner,
     app: str,
@@ -207,11 +174,11 @@ def evolutionary_search(
     offspring is proposed immediately — mutated along one grid axis from
     an elite parent, resampling a fresh random point at dead ends — until
     ``budget`` proposals have been made.  There is no per-generation
-    barrier: with ``max_workers > 1`` (or a persistent ``engine``) the
-    proposals ride a :class:`~repro.harness.batch.StreamSession`, whose
-    strict submission-order consumption makes the evaluated point sequence
-    a function of the seed alone — serial and parallel runs produce
-    identical records.
+    barrier: the proposals ride an :class:`~repro.harness.batch.EngineStream`
+    — on ``engine`` when given, else on a transient engine around
+    ``runner`` with ``max_workers`` workers — whose strict submission-order
+    consumption makes the evaluated point sequence a function of the seed
+    alone, so serial and parallel runs produce identical records.
 
     ``order=True`` makes mutation surrogate-guided: once the incremental
     :class:`~repro.harness.pruning.Surrogate` has enough observations, the
@@ -229,12 +196,12 @@ def evolutionary_search(
     db = ResultsDB()
     seen: set[str] = set()
     owned_engine = None
-    if engine is None and max_workers > 1:
+    if engine is None:
         from repro.harness.batch import BatchEngine
         from repro.harness.config import SweepConfig
 
         engine = owned_engine = BatchEngine(
-            config=SweepConfig(workers=max_workers), runner=runner
+            config=SweepConfig(workers=max(1, max_workers)), runner=runner
         )
 
     surrogate = None
@@ -269,9 +236,7 @@ def evolutionary_search(
 
     from repro.harness.batch import BatchJob
 
-    session = (
-        engine.open_stream() if engine is not None else _SerialFeed(runner)
-    )
+    stream = engine.open_stream()
     pending: dict[int, SweepPoint] = {}
     elite: list[tuple[float, SweepPoint, RunRecord]] = []
     proposals = 0
@@ -287,11 +252,11 @@ def evolutionary_search(
             if pt.label() in seen:
                 continue
             seen.add(pt.label())
-            pending[session.put(BatchJob(app, device, pt))] = pt
+            pending[stream.put(BatchJob(app, device, pt))] = pt
             proposals += 1
         # Steady state: consume strictly in submission order; each consumed
         # result funds exactly one new proposal.
-        for ticket, rec in session:
+        for ticket, rec in stream:
             pt = pending.pop(ticket)
             db.add(rec)
             if surrogate is not None:
@@ -304,10 +269,10 @@ def evolutionary_search(
                 child_idx += 1
                 nxt = propose_one(parent)
                 if nxt is not None:
-                    pending[session.put(BatchJob(app, device, nxt))] = nxt
+                    pending[stream.put(BatchJob(app, device, nxt))] = nxt
                     proposals += 1
     finally:
-        session.close()
+        stream.close()
         if owned_engine is not None:
             owned_engine.close()
 

@@ -13,8 +13,11 @@ import signal
 
 import pytest
 
-from repro.harness.batch import BatchEngine, BatchJob, WorkerPool
+from repro.harness.batch import BatchEngine, BatchJob, WorkerPool, run_batch
 from repro.harness.config import SweepConfig
+from repro.harness.database import CheckpointWriter, ResultsDB, dumps_record
+from repro.harness.executor import run_sweep_parallel
+from repro.harness.pruning import VariantCache
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -193,3 +196,157 @@ class TestStreamSession:
         assert [d for _, d in seen] == [
             serial.run_point(j.app, j.device, j.point).to_dict() for j in jobs
         ]
+
+
+def _iact(tsize, tperwarp, ipt):
+    return SweepPoint(
+        "iact", {"tsize": tsize, "threshold": 0.3, "tperwarp": tperwarp},
+        "thread", ipt,
+    )
+
+
+def _key(job):
+    return (job.app, job.device, job.point.label())
+
+
+#: One heterogeneous batch covering every way a slot can settle.
+CK = [
+    BatchJob("blackscholes", "v100_small", _taf(1, 4, 0.3)),
+    BatchJob("kmeans", "v100_small", _taf(1, 7, 0.9, ipt=8)),
+]
+VARIANT = [
+    BatchJob("blackscholes", "amd_small", _taf(1, 4, 0.3)),
+    BatchJob("blackscholes", "v100_small", _taf(2, 8, 0.9)),
+]
+#: Over V100's shared memory (HPAC020) and an unshareable tperwarp (HPAC023).
+PREFLIGHT = [
+    BatchJob("blackscholes", "v100_small", _iact(8, 32, 8)),
+    BatchJob("blackscholes", "v100_small", _iact(2, 48, 2)),
+]
+FRESH = [
+    BatchJob("blackscholes", "v100_small", _taf(2, 16, 0.3)),
+    BatchJob("kmeans", "amd_small", _taf(1, 7, 0.9, ipt=8)),
+    BatchJob("blackscholes", "amd_small", _taf(2, 8, 3.0)),
+]
+MIXED = [
+    FRESH[0], CK[0], PREFLIGHT[0], VARIANT[0], FRESH[1], FRESH[0],
+    CK[1], VARIANT[1], PREFLIGHT[1], CK[0], FRESH[2],
+]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    runner = ExperimentRunner(problems=PROBLEMS)
+    return {
+        _key(j): runner.run_point(j.app, j.device, j.point)
+        for j in CK + VARIANT + FRESH
+    }
+
+
+class TestOneStream:
+    """Serial and pooled drains of the one stream agree on everything."""
+
+    def _drive(self, tmp_path, workers, reference):
+        ck = tmp_path / f"ck-{workers}.jsonl"
+        with CheckpointWriter(ck) as out:
+            out.write([reference[_key(j)] for j in CK])
+        cache = VariantCache()
+        for j in VARIANT:
+            cache.put(
+                VariantCache.key_for(
+                    j.app, j.device, j.point, seed=2023, problem=PROBLEMS
+                ),
+                reference[_key(j)],
+            )
+        report = run_batch(
+            MIXED,
+            problems=PROBLEMS,
+            config=SweepConfig(
+                workers=workers, checkpoint=ck, preflight=True,
+                variant_cache=cache,
+            ),
+        )
+        rows = sorted(dumps_record(r) for r in ResultsDB.load(ck))
+        return report, rows
+
+    def test_serial_and_pool_identical(self, tmp_path, reference):
+        serial, serial_rows = self._drive(tmp_path, 1, reference)
+        pooled, pooled_rows = self._drive(tmp_path, 2, reference)
+        assert [r.to_dict() for r in serial.records] == [
+            r.to_dict() for r in pooled.records
+        ]
+
+        def counters(rep):
+            return (
+                rep.evaluated, rep.skipped, rep.deduped, rep.pruned,
+                rep.variant_hits, rep.baseline_runs, rep.worker_baseline_runs,
+            )
+
+        # 3 fresh points over 3 (app, device) pairs; the repeated fresh
+        # point and the repeated checkpoint row are the 2 deduped slots.
+        assert counters(serial) == counters(pooled) == (3, 2, 2, 2, 2, 3, 0)
+        assert serial_rows == pooled_rows
+        assert len(serial_rows) == len(CK + VARIANT + PREFLIGHT + FRESH)
+        for job, rec in zip(MIXED, serial.records):
+            if job in PREFLIGHT:
+                assert rec.note.startswith("preflight HPAC")
+            else:
+                assert rec.to_dict() == reference[_key(job)].to_dict()
+
+    def test_sweep_extra_keys_same_with_engine(self):
+        pts = [_taf(1, 4, 0.3), _taf(2, 8, 0.3)]
+        plain = run_sweep_parallel(
+            "blackscholes", "v100_small", pts, problems=PROBLEMS
+        )
+        with BatchEngine(problems=PROBLEMS) as eng:
+            routed = run_sweep_parallel(
+                "blackscholes", "v100_small", pts, problems=PROBLEMS, engine=eng
+            )
+        assert set(routed.extra) == set(plain.extra)
+        assert "chunk_log" in routed.extra
+
+    def test_engine_cache_hits_reach_the_checkpoint(self, tmp_path):
+        # The second call is served wholly from the engine cache; its
+        # checkpoint must still end up holding every row, so a later
+        # resume from it simulates nothing.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        pts = [_taf(1, p, 0.3) for p in (4, 8, 16)]
+        with BatchEngine(problems=PROBLEMS) as eng:
+            run_sweep_parallel(
+                "blackscholes", "v100_small", pts, problems=PROBLEMS,
+                engine=eng, config=SweepConfig(checkpoint=a),
+            )
+            r2 = run_sweep_parallel(
+                "blackscholes", "v100_small", pts, problems=PROBLEMS,
+                engine=eng, config=SweepConfig(checkpoint=b),
+            )
+        assert r2.checkpoint == str(b)
+        assert len(ResultsDB.load(b)) == 3
+        resumed = run_sweep_parallel(
+            "blackscholes", "v100_small", pts, problems=PROBLEMS,
+            config=SweepConfig(checkpoint=b),
+        )
+        assert resumed.evaluated == 0 and resumed.skipped == 3
+
+
+class _PoisonedRunner(ExperimentRunner):
+    """A runner whose every run_point raises, as after a corrupted cache."""
+
+    def run_point(self, *args, **kwargs):
+        raise RuntimeError("poisoned runner")
+
+
+class TestSerialRetry:
+    def test_serial_retry_rebuilds_runner(self):
+        # The in-process executor must rebuild a failing runner exactly as
+        # a pool worker does, not retry the poisoned instance in place.
+        job = _jobs(1)[0]
+        eng = BatchEngine(runner=_PoisonedRunner(problems=PROBLEMS))
+        with eng, eng.open_stream() as stream:
+            stream.put(job)
+            [(_ticket, rec)] = list(stream)
+        fresh = ExperimentRunner(problems=PROBLEMS).run_point(
+            job.app, job.device, job.point
+        )
+        assert rec.feasible
+        assert rec.to_dict() == fresh.to_dict()
