@@ -41,6 +41,8 @@ from repro.openmp.runtime import OffloadProgram
 #: FLOPs of one pair interaction (distance, exp kernel, 3 force components).
 _PAIR_FLOPS = 14.0
 _PAIR_SFU = 1.0
+#: Home boxes per pass of the pair kernel (keeps its planes cache-sized).
+_PAIR_BLOCK = 4
 
 
 class LavaMD(Benchmark):
@@ -124,13 +126,56 @@ class LavaMD(Benchmark):
 
         ``pos_home``: (B, P, 3); ``pos_nb``: (B, P, 3).  Returns (B, P, 4):
         force vector + potential, DL_POLY-style exp(-alpha·r²) kernel.
+
+        The result is bit-identical to the einsum formulation::
+
+            dr = pos_nb[:, None, :, :] - pos_home[:, :, None, :]
+            r2 = np.einsum("bijk,bijk->bij", dr, dr)
+            w = q_nb[:, None, :] * np.exp(-alpha * r2)
+            force = np.einsum("bij,bijk->bik", w, dr)
+            pot = w.sum(axis=2)
+
+        so it reproduces einsum's accumulation orders on component planes
+        laid out ``(b, j, i)`` (neighbour particle outer, home particle
+        contiguous):
+
+        * ``r2 = (dx·dx + dz·dz) + dy·dy`` — einsum's two-lane sum for k = 3;
+        * ``force_k`` is a strictly sequential sum over j of the rounded
+          products ``w·d_k``, starting from 0 (no FMA, no pairwise sum): j
+          is not the contiguous axis, so numpy adds whole i-rows in j order;
+        * ``pot`` stays numpy's pairwise sum over contiguous j rows, so ``w``
+          is transposed back to ``(b, i, j)`` for it;
+        * ``np.exp`` sees a contiguous plane, as before.
+
+        Home boxes go through in blocks of ``_PAIR_BLOCK`` so the planes
+        stay cache-sized.
         """
-        dr = pos_nb[:, None, :, :] - pos_home[:, :, None, :]  # (B, P, P, 3)
-        r2 = np.einsum("bijk,bijk->bij", dr, dr)
-        w = q_nb[:, None, :] * np.exp(-alpha * r2)
-        pot = w.sum(axis=2)
-        force = np.einsum("bij,bijk->bik", w, dr)
-        return np.concatenate([force, pot[..., None]], axis=2)  # (B, P, 4)
+        num_boxes, ppb, _ = pos_home.shape
+        home = np.ascontiguousarray(pos_home.transpose(2, 0, 1))  # (3, B, P)
+        near = np.ascontiguousarray(pos_nb.transpose(2, 0, 1))
+        out = np.empty((num_boxes, ppb, 4))
+        cols = out.transpose(2, 0, 1)  # (4, B, P) view of the result
+        # Five (b, j, i) planes per block: dx, dy, dz, w and a temporary.
+        planes = np.empty((5, min(_PAIR_BLOCK, num_boxes), ppb, ppb))
+        for b0 in range(0, num_boxes, _PAIR_BLOCK):
+            blk = slice(b0, b0 + _PAIR_BLOCK)
+            nblk = min(_PAIR_BLOCK, num_boxes - b0)
+            d, w, tmp = planes[:3, :nblk], planes[3, :nblk], planes[4, :nblk]
+            # d[k, b, j, i] = pos_nb[b, j, k] - pos_home[b, i, k]
+            np.subtract(near[:, blk, :, None], home[:, blk, None, :], out=d)
+            np.multiply(d[0], d[0], out=w)
+            np.multiply(d[2], d[2], out=tmp)
+            w += tmp
+            np.multiply(d[1], d[1], out=tmp)
+            w += tmp
+            w *= -alpha
+            np.exp(w, out=w)
+            w *= q_nb[blk, :, None]
+            d *= w
+            d.sum(axis=2, out=cols[:3, blk])
+            tmp[...] = w.transpose(0, 2, 1)
+            tmp.sum(axis=2, out=cols[3, blk])
+        return out
 
     def _execute(
         self,
@@ -152,43 +197,49 @@ class LavaMD(Benchmark):
         forces = np.zeros((nboxes, ppb, 4))
         num_teams = max(1, (nboxes + items_per_thread - 1) // items_per_thread)
 
-        def contrib_of(ctx, dpos, am, safe_box, j):
-            """Pair-loop contributions of neighbour slot ``j`` (active blocks)."""
+        def contrib_of(ctx, dpos, am, safe_box, j, acc=None):
+            """Pair-loop contributions of neighbour slot ``j`` (active blocks),
+            added into ``acc`` (total_threads, 4) when given, else returned
+            in a fresh zero plane."""
             tpb = ctx.threads_per_block
             ctx.flops(_PAIR_FLOPS * ppb, am)
             ctx.sfu(_PAIR_SFU * ppb, am)
             ctx.shared_access(float(ppb), am)
-            vals = np.zeros((ctx.total_threads, 4))
-            blocks = np.unique(ctx.block_id[am])
-            if len(blocks):
-                home = safe_box[blocks * tpb]
-                nbb = nb_arr[home, j]
-                ok = nbb >= 0
-                if ok.any():
-                    c = self._pair_contrib(
-                        dpos[home[ok]], charge[home[ok]],
-                        dpos[nbb[ok]], charge[nbb[ok]], alpha,
-                    )
-                    out = np.zeros((ctx.num_blocks, tpb, 4))
-                    out[blocks[ok], :ppb] = c
-                    vals = out.reshape(-1, 4)
+            vals = np.zeros((ctx.total_threads, 4)) if acc is None else acc
+            blocks = np.flatnonzero(am.reshape(ctx.num_blocks, tpb).any(axis=1))
+            home = safe_box[blocks * tpb]
+            nbb = nb_arr[home, j]
+            ok = nbb >= 0
+            if ok.any():
+                c = self._pair_contrib(
+                    dpos[home[ok]], charge[home[ok]],
+                    dpos[nbb[ok]], charge[nbb[ok]], alpha,
+                )
+                plane = vals.reshape(ctx.num_blocks, tpb, 4)
+                if acc is None:
+                    plane[blocks[ok], :ppb] = c
+                else:
+                    # acc never holds -0.0, so skipping the zero lanes adds
+                    # exactly what a zero-padded plane would.
+                    plane[blocks[ok], :ppb] += c
             return vals
 
         def kernel(ctx, dpos, dcharge, dforce):
+            pid = ctx.lane_in_block
+            safe_pid = np.minimum(np.maximum(pid, 0), ppb - 1)
             for _t in range(int(p["time_steps"])):
                 dforce[...] = 0.0
                 for _bstep, box, m in ctx.block_chunk_stride(nboxes):
-                    safe_box = np.clip(box, 0, nboxes - 1)
-                    pid = ctx.lane_in_block
+                    safe_box = np.minimum(np.maximum(box, 0), nboxes - 1)
                     live = np.logical_and(m, pid < ppb)
-                    pidx = safe_box * ppb + np.clip(pid, 0, ppb - 1)
+                    pidx = safe_box * ppb + safe_pid
                     ctx.charge_global_streamed(
                         4, itemsize=8, mask=live,
                         buffers=("dpos", "dcharge"),
                         indices={"dpos": (pidx * 3, 3), "dcharge": pidx},
                     )
                     my_box = safe_box
-                    my_pos = dpos[my_box, np.clip(pid, 0, ppb - 1)]
+                    my_pos = dpos[my_box, safe_pid]
 
                     if region_is_whole_force:
                         # TAF (and accurate): the region is the particle's
@@ -200,7 +251,7 @@ class LavaMD(Benchmark):
                                 jn = nb_arr[my_box, j]
                                 sub = np.logical_and(am, jn >= 0)
                                 if sub.any():
-                                    acc += contrib_of(ctx, dpos, sub, safe_box, j)
+                                    contrib_of(ctx, dpos, sub, safe_box, j, acc)
                                     ctx.flops(4.0, sub)
                             return acc
 
@@ -216,8 +267,8 @@ class LavaMD(Benchmark):
                             act = np.logical_and(live, nb_of_lane >= 0)
                             if not act.any():
                                 continue
-                            nb_safe = np.clip(nb_of_lane, 0, nboxes - 1)
-                            nbidx = nb_safe * ppb + np.clip(pid, 0, ppb - 1)
+                            nb_safe = np.minimum(np.maximum(nb_of_lane, 0), nboxes - 1)
+                            nbidx = nb_safe * ppb + safe_pid
                             ctx.charge_global_streamed(
                                 3, itemsize=8, mask=act, buffers=("dpos",),
                                 indices={"dpos": (nbidx * 3, 3)},

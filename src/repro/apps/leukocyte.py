@@ -139,8 +139,8 @@ class Leukocyte(Benchmark):
                     m = np.logical_and.reduce(
                         [ctx.mask, cell_live, pix < npix]
                     )
-                    safe_cell = np.clip(cell, 0, c - 1)
-                    safe_pix = np.clip(pix, 0, npix - 1)
+                    safe_cell = np.minimum(np.maximum(cell, 0), c - 1)
+                    safe_pix = np.minimum(np.maximum(pix, 0), npix - 1)
                     py, px = safe_pix // w, safe_pix % w
                     up = dfield[safe_cell, np.maximum(py - 1, 0), px]
                     dn = dfield[safe_cell, np.minimum(py + 1, w - 1), px]

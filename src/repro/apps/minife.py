@@ -121,7 +121,7 @@ class MiniFE(Benchmark):
 
         def spmv_kernel(ctx, xvec, yvec):
             for _step, idx, m in ctx.team_chunk_stride(n):
-                safe = np.clip(idx, 0, n - 1)
+                safe = np.minimum(np.maximum(idx, 0), n - 1)
 
                 def compute(am, safe=safe):
                     # Row dot product: nnz multiply-adds; the CSR gather is

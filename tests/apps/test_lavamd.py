@@ -9,6 +9,16 @@ from repro.harness.metrics import mape
 SMALL = {"boxes_per_dim": 2, "particles_per_box": 32, "time_steps": 12}
 
 
+def einsum_pair_contrib(pos_home, q_home, pos_nb, q_nb, alpha):
+    """The einsum formulation ``LavaMD._pair_contrib`` must match bit for bit."""
+    dr = pos_nb[:, None, :, :] - pos_home[:, :, None, :]  # (B, P, P, 3)
+    r2 = np.einsum("bijk,bijk->bij", dr, dr)
+    w = q_nb[:, None, :] * np.exp(-alpha * r2)
+    pot = w.sum(axis=2)
+    force = np.einsum("bij,bijk->bik", w, dr)
+    return np.concatenate([force, pot[..., None]], axis=2)  # (B, P, 4)
+
+
 @pytest.fixture(scope="module")
 def app():
     a = LavaMD(problem=SMALL)
@@ -31,6 +41,19 @@ class TestPhysics:
         c = LavaMD._pair_contrib(pos, q, pos, q, alpha=2.0)
         assert (c[0, :, 3] > 0).all()
 
+    def test_pair_forces_are_antisymmetric(self):
+        # Unit charges make the pair weight symmetric, so box A's summed
+        # force on box B is minus B's on A, and the potentials agree.
+        rng = np.random.default_rng(2)
+        a = rng.random((1, 16, 3))
+        b = rng.random((1, 16, 3)) + np.array([1.0, 0.0, 1.0])
+        q = np.ones((1, 16))
+        on_b = LavaMD._pair_contrib(b, q, a, q, 2.0)[0].sum(axis=0)
+        on_a = LavaMD._pair_contrib(a, q, b, q, 2.0)[0].sum(axis=0)
+        assert np.abs(on_a[:3]).max() > 0
+        assert np.allclose(on_b[:3], -on_a[:3])
+        assert np.isclose(on_b[3], on_a[3])
+
     def test_far_boxes_contribute_less(self):
         rng = np.random.default_rng(1)
         home = rng.random((1, 16, 3))
@@ -48,6 +71,30 @@ class TestPhysics:
     def test_forces_nonzero(self, baseline):
         n = 8 * 32
         assert baseline.qoi[:n].max() > 0
+
+
+class TestPairKernelBytes:
+    """``_pair_contrib`` reproduces the einsum formulation byte for byte.
+
+    P covers numpy's pairwise-sum paths (the plain loop below 8, the
+    8-way unrolled loop with and without a remainder); B crosses the
+    home-box blocking boundaries."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("ppb", [1, 7, 8, 13, 64, 65])
+    def test_matches_einsum_bytes(self, ppb, alpha):
+        rng = np.random.default_rng([ppb, int(alpha * 10)])
+        for nb in sorted({1, 27, *rng.integers(1, 28, size=3).tolist()}):
+            corner = rng.integers(0, 3, size=(nb, 1, 3))
+            home = corner + rng.random((nb, ppb, 3))
+            shift = rng.integers(-1, 2, size=(nb, 1, 3))  # a neighbour box
+            pos_nb = corner + shift + rng.random((nb, ppb, 3))
+            q_home = 0.1 + 1.9 * rng.random((nb, ppb))
+            q_nb = 0.1 + 1.9 * rng.random((nb, ppb))
+            got = LavaMD._pair_contrib(home, q_home, pos_nb, q_nb, alpha)
+            want = einsum_pair_contrib(home, q_home, pos_nb, q_nb, alpha)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (nb, ppb, alpha)
 
 
 class TestApproximation:
