@@ -1,9 +1,11 @@
-"""Perf micro for the fast-path simulator core.
+"""Perf micro for the simulator core against the reference oracle.
 
 Run as a script (``python benchmarks/perf_micro.py``).  Measures the
 steady-state per-invocation cost of the two stateful approximation
 techniques plus the raw charging primitives, always running the **same
-workload through both context implementations in one process**:
+workload through production and the frozen reference formulation in
+``tests/reference``** (``ReferenceGridContext`` with the reference
+``taf_invoke``/``iact_invoke``) in one process:
 
 1. **TAF microbenchmark** — a replay-dominant steady state (short history,
    long prediction window): after warmup ~95% of invocations take the
@@ -13,22 +15,23 @@ workload through both context implementations in one process**:
    tables, generous threshold, cycling inputs): after the tables fill,
    every invocation is a read-phase hit with no write phase.
 3. **Uniform-mask primitive microbenchmark** — flops/shared/streamed-global
-   charges under the base all-true mask: the fast path's O(warps)
-   bookkeeping and deferred counter journal versus the slow path's
+   charges under the base all-true mask: production's O(warps)
+   bookkeeping and deferred counter journal versus the reference's
    per-lane mask reductions.  This is the stretch path (~10x).
 
 Every measurement **asserts byte identity** (warp cycles and every
-counter) between the two paths before its speedup counts, and two full
-application runs (one TAF, one iACT, both with ApproxSan attached) must
-digest identically on both paths.  The TAF run also snapshots the scratch
-arena mid-kernel: after warmup, further invocations must be served
-entirely from cache (misses frozen).
+counter) between production and the reference before its speedup counts,
+and two full application runs (one TAF, one iACT, both with ApproxSan
+attached) must reproduce their committed digests in
+``tests/approx/goldens/equivalence.json``.  The production TAF run also
+snapshots the scratch arena mid-kernel: after warmup, further invocations
+must be served entirely from cache (misses frozen).
 
 Everything lands in the ``perf_micro`` section of ``BENCH_harness.json``.
 Exit status is the CI contract:
 
-* nonzero if any fast/slow pair is not byte-identical (cycles, counters,
-  or full-app digests);
+* nonzero if any production/reference pair is not byte-identical (cycles,
+  counters), or a full-app digest differs from its golden;
 * nonzero if the TAF or iACT microbenchmark speedup is below 2x, or the
   primitive microbenchmark below 2x;
 * nonzero if arena misses keep growing in steady state.
@@ -58,7 +61,12 @@ from repro.approx.iact import iact_invoke  # noqa: E402
 from repro.approx.taf import taf_invoke  # noqa: E402
 from repro.gpusim import launch, nvidia_v100  # noqa: E402
 
-from tests.approx.equivalence_util import run_combo  # noqa: E402
+from tests import reference  # noqa: E402
+from tests.approx.equivalence_util import (  # noqa: E402
+    SANITIZED_CELLS,
+    load_goldens,
+    run_combo,
+)
 
 DEV = nvidia_v100()
 NUM_BLOCKS = 128
@@ -87,19 +95,19 @@ IACT_SPEC = RegionSpec(
 arena_snapshots: list[dict] = []
 
 
-def taf_kernel(ctx):
+def taf_kernel(ctx, invoke=taf_invoke):
     base = np.sin(ctx.thread_id.astype(np.float64))
     for step in range(STEPS):
         def compute(mask, s=step):
             ctx.flops(4.0, mask)
             return (base * (1.0 + 1e-6 * (s % 3)))[:, None]
 
-        taf_invoke(ctx, TAF_SPEC, compute)
-        if ctx.fast and step in (STEPS // 2, STEPS - 1):
+        invoke(ctx, TAF_SPEC, compute)
+        if invoke is taf_invoke and step in (STEPS // 2, STEPS - 1):
             arena_snapshots.append(ctx.arena.snapshot())
 
 
-def iact_kernel(ctx):
+def iact_kernel(ctx, invoke=iact_invoke):
     t = ctx.thread_id.astype(np.float64)
     xs = [np.cos(t + k)[:, None] for k in range(3)]
     for step in range(STEPS):
@@ -109,7 +117,7 @@ def iact_kernel(ctx):
             ctx.flops(8.0, mask)
             return x
 
-        iact_invoke(ctx, IACT_SPEC, x, compute)
+        invoke(ctx, IACT_SPEC, x, compute)
 
 
 def primitive_kernel(ctx):
@@ -119,13 +127,21 @@ def primitive_kernel(ctx):
         ctx.charge_global_streamed(1.0, itemsize=8)
 
 
-def bench(kernel, fast: bool):
+def reference_taf_kernel(ctx):
+    taf_kernel(ctx, reference.taf_invoke)
+
+
+def reference_iact_kernel(ctx):
+    iact_kernel(ctx, reference.iact_invoke)
+
+
+def bench(kernel, launcher=launch):
     """Best-of-REPS wall clock plus the last result for identity checks."""
     best = float("inf")
     result = None
     for _ in range(REPS):
         t0 = time.perf_counter()
-        result = launch(kernel, DEV, NUM_BLOCKS, THREADS_PER_BLOCK, fast_path=fast)
+        result = launcher(kernel, DEV, NUM_BLOCKS, THREADS_PER_BLOCK)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -146,32 +162,33 @@ def main() -> int:
         "floor": FLOOR,
     }
 
-    for label, kernel in (
-        ("taf", taf_kernel),
-        ("iact", iact_kernel),
-        ("primitives", primitive_kernel),
+    for label, kernel, reference_kernel in (
+        ("taf", taf_kernel, reference_taf_kernel),
+        ("iact", iact_kernel, reference_iact_kernel),
+        ("primitives", primitive_kernel, primitive_kernel),
     ):
-        t_fast, r_fast = bench(kernel, fast=True)
-        t_slow, r_slow = bench(kernel, fast=False)
-        same = identical(r_fast, r_slow)
-        speedup = t_slow / t_fast
+        t_prod, r_prod = bench(kernel)
+        t_ref, r_ref = bench(reference_kernel, reference.reference_launch)
+        same = identical(r_prod, r_ref)
+        speedup = t_ref / t_prod
         report[label] = {
-            "slow_seconds": t_slow,
-            "fast_seconds": t_fast,
+            "reference_seconds": t_ref,
+            "seconds": t_prod,
             "speedup": round(speedup, 3),
             "identical": same,
         }
         print(
-            f"{label:10s} slow={t_slow * 1e3:8.2f}ms fast={t_fast * 1e3:8.2f}ms "
+            f"{label:10s} reference={t_ref * 1e3:8.2f}ms production={t_prod * 1e3:8.2f}ms "
             f"x{speedup:5.2f} identical={same}"
         )
         if not same:
-            failures.append(f"{label}: fast path is not byte-identical")
+            failures.append(f"{label}: not byte-identical to the reference")
         if speedup < FLOOR:
             failures.append(f"{label}: speedup {speedup:.2f}x below {FLOOR}x floor")
 
     # Arena steady state: between the mid-kernel and final snapshots of the
-    # last fast TAF launch, misses must be frozen while hits keep climbing.
+    # last production TAF launch, misses must be frozen while hits keep
+    # climbing.
     warm, final = arena_snapshots[-2], arena_snapshots[-1]
     report["arena"] = {"warm": warm, "final": final}
     print(f"arena      warm={warm} final={final}")
@@ -187,12 +204,12 @@ def main() -> int:
     # tracking is allowed to cost host time, never simulated time.
     from repro.analysis.sanitizer import Sanitizer
 
-    t_plain, r_plain = bench(primitive_kernel, fast=True)
+    t_plain, r_plain = bench(primitive_kernel)
     t_san, r_san = float("inf"), None
     for _ in range(REPS):
         t0 = time.perf_counter()
         r_san = launch(primitive_kernel, DEV, NUM_BLOCKS, THREADS_PER_BLOCK,
-                       fast_path=True, sanitizer=Sanitizer())
+                       sanitizer=Sanitizer())
         t_san = min(t_san, time.perf_counter() - t0)
     same = identical(r_plain, r_san)
     report["sanitizer"] = {
@@ -209,16 +226,17 @@ def main() -> int:
         failures.append("sanitizer: attaching ApproxSan changed simulated results")
 
     # Full applications, sanitizer attached: the whole record must digest
-    # identically on both paths.
+    # to its committed golden.
+    goldens = load_goldens()
     apps = {}
-    for name, tech, level in (("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp")):
-        d_slow = run_combo(name, tech, level, fast=False, sanitize=True)
-        d_fast = run_combo(name, tech, level, fast=True, sanitize=True)
-        ok = d_slow == d_fast
-        apps[f"{name}/{tech}/{level}+san"] = {"identical": ok, "digest": d_fast[:16]}
+    for name, tech, level in SANITIZED_CELLS:
+        key = f"{name}/{tech}/{level}+san"
+        digest = run_combo(name, tech, level, sanitize=True)
+        ok = digest == goldens[key]
+        apps[key] = {"identical": ok, "digest": digest[:16]}
         print(f"{name:12s} {tech}/{level} +san identical={ok}")
         if not ok:
-            failures.append(f"{name} {tech}/{level} full-app records differ")
+            failures.append(f"{key}: full-app record differs from its golden")
     report["full_app"] = apps
     report["failures"] = failures
 

@@ -1,11 +1,11 @@
-"""Shared machinery for the fast/slow equivalence matrix.
+"""Shared machinery for the golden equivalence matrix.
 
-The fast-path simulator core (scratch arena, uniform-mask short-circuits,
-analytic coalescing, deferred counter finalization) promises **byte
-identity**: every QoI array, kernel timing, counter, and region-stat it
-produces must equal the original implementation bit for bit.  This module
-digests a full application run into one hash so the matrix test and the
-golden recorder agree on exactly what "identical" means.
+The simulator core (scratch arena, uniform-mask short-circuits, analytic
+coalescing, deferred counter finalization) promises **byte identity** with
+the original implementation: every QoI array, kernel timing, counter, and
+region stat it produces must equal the committed goldens bit for bit.
+This module digests a full application run into one hash so the matrix
+test and the golden recorder agree on exactly what "identical" means.
 
 The digest covers:
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from repro.errors import (
     SharedMemoryError,
     UnsupportedApproximationError,
 )
-from repro.gpusim import set_fast_path_default
+
+#: Committed digests of every supported cell (see record_equivalence_goldens.py).
+GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "equivalence.json"
 
 #: Region parameters per technique — mid-range values that exercise both the
 #: approximate and accurate branches (TAF re-arms, iACT reads and writes,
@@ -41,6 +44,9 @@ MATRIX_PARAMS = {
 
 TECHNIQUES = ("taf", "iact", "perfo")
 LEVELS = ("thread", "warp", "team")
+
+#: The sanitizer-attached cells: one per stateful technique.
+SANITIZED_CELLS = (("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp"))
 
 #: Exceptions that mean "this app/technique/level combination does not
 #: exist" (ragged iACT inputs, shared-memory overflow, loop-only
@@ -82,23 +88,17 @@ def pick_site(bench, tech: str, level: str) -> str | None:
     return None
 
 
-def run_combo(name: str, tech: str, level: str, fast: bool, sanitize: bool = False) -> str:
-    """Run one matrix cell on the requested path; returns its digest.
+def run_combo(name: str, tech: str, level: str, sanitize: bool = False) -> str:
+    """Run one matrix cell; returns its digest.
 
     Raises one of :data:`SKIP_ERRORS` when the combination is unsupported.
     """
-    old = set_fast_path_default(fast)
-    try:
-        bench = get_benchmark(name, None)
-        site = pick_site(bench, tech, level)
-        if site is None:
-            raise UnsupportedApproximationError(
-                f"{name} has no {tech}/{level} site"
-            )
-        regions = bench.build_regions(tech, level, site, **MATRIX_PARAMS[tech])
-        return digest_result(bench.run(regions=regions, sanitize=sanitize))
-    finally:
-        set_fast_path_default(old)
+    bench = get_benchmark(name, None)
+    site = pick_site(bench, tech, level)
+    if site is None:
+        raise UnsupportedApproximationError(f"{name} has no {tech}/{level} site")
+    regions = bench.build_regions(tech, level, site, **MATRIX_PARAMS[tech])
+    return digest_result(bench.run(regions=regions, sanitize=sanitize))
 
 
 def iter_matrix():
@@ -107,3 +107,8 @@ def iter_matrix():
         for tech in TECHNIQUES:
             for level in LEVELS:
                 yield name, tech, level
+
+
+def load_goldens() -> dict[str, str]:
+    """The committed ``cell key -> digest`` map."""
+    return json.loads(GOLDEN_PATH.read_text())

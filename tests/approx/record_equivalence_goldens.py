@@ -1,12 +1,15 @@
-"""Record the seed-implementation digests for the equivalence matrix.
+"""Record the digests of the equivalence matrix.
 
-Runs every supported (app, technique, level) cell on the **slow path**
-(the original, pre-fast-path implementation, which is kept verbatim as the
-reference) and writes the digests to ``tests/approx/goldens/equivalence.json``.
-``tests/approx/test_equivalence_matrix.py`` then asserts that both the slow
-and the fast path still reproduce these bytes exactly.
+Runs every supported (app, technique, level) cell, plus the
+sanitizer-attached cells, and writes the digests to
+``tests/approx/goldens/equivalence.json``.
+``tests/approx/test_equivalence_matrix.py`` then asserts that every run
+still reproduces these bytes exactly.
 
-Re-run only when an *intentional* behavior change invalidates the goldens:
+The committed goldens were recorded from the original formulation (kept as
+the ``tests/reference`` oracle) and pin the simulator's behaviour.  Re-record
+only for an *intentional* behaviour change, never to make a failing matrix
+pass:
 
     PYTHONPATH=src python tests/approx/record_equivalence_goldens.py
 """
@@ -21,19 +24,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from tests.approx.equivalence_util import (  # noqa: E402
+    GOLDEN_PATH,
+    SANITIZED_CELLS,
     SKIP_ERRORS,
     iter_matrix,
     run_combo,
 )
-
-GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "equivalence.json"
 
 
 def main() -> int:
     goldens: dict[str, str] = {}
     for name, tech, level in iter_matrix():
         try:
-            d = run_combo(name, tech, level, fast=False)
+            d = run_combo(name, tech, level)
         except SKIP_ERRORS as e:
             print(f"{name:12s} {tech:5s} {level:6s} skip ({type(e).__name__})")
             continue
@@ -41,8 +44,8 @@ def main() -> int:
         print(f"{name:12s} {tech:5s} {level:6s} {d[:16]}")
     # One sanitizer-attached cell per technique: the sanitizer must observe
     # without perturbing a single byte, and its report must be stable too.
-    for name, tech, level in (("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp")):
-        d = run_combo(name, tech, level, fast=False, sanitize=True)
+    for name, tech, level in SANITIZED_CELLS:
+        d = run_combo(name, tech, level, sanitize=True)
         goldens[f"{name}/{tech}/{level}+san"] = d
         print(f"{name:12s} {tech:5s} {level:6s} +san {d[:16]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,12 @@
-"""Scratch arena + fast-path context plumbing.
+"""Scratch arena + context plumbing.
 
-The arena is the fast path's allocation backbone: launch-constant-shaped
+The arena is the simulator's allocation backbone: launch-constant-shaped
 temporaries are borrowed, rewritten in place, and — after a warmup
 invocation — served entirely from cache.  These tests pin the arena's
-contract (identity reuse, hit/miss accounting) and the context-level fast
-path invariants (deferred journal finalization, byte-identical counters and
-cycles against the slow path, steady-state misses frozen).
+contract (identity reuse, hit/miss accounting) and the context-level
+invariants (deferred journal finalization, byte-identical counters and
+cycles against the reference oracle in ``tests/reference``, steady-state
+misses frozen).
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from repro.approx.base import (
 )
 from repro.approx.iact import iact_invoke
 from repro.approx.taf import taf_invoke
-from repro.gpusim import (
-    ScratchArena,
-    fast_path_default,
-    launch,
-    nvidia_v100,
-    set_fast_path_default,
-)
+from repro.gpusim import ScratchArena, launch, nvidia_v100
+from tests import reference
 
 DEV = nvidia_v100()
 
@@ -75,18 +71,7 @@ class TestScratchArena:
         }
 
 
-class TestFastPathDefault:
-    def test_set_and_restore(self):
-        old = set_fast_path_default(False)
-        try:
-            assert fast_path_default() is False
-            assert set_fast_path_default(True) is False
-            assert fast_path_default() is True
-        finally:
-            set_fast_path_default(old)
-
-
-def _region_kernel(ctx):
+def _region_kernel(ctx, taf_invoke=taf_invoke, iact_invoke=iact_invoke):
     """A kernel exercising both techniques for several steady-state steps."""
     taf_spec = RegionSpec(
         name="t",
@@ -122,23 +107,22 @@ def _region_kernel(ctx):
 
 class TestFastPathContext:
     def test_counters_and_cycles_byte_identical(self):
-        rf = launch(_region_kernel, DEV, 4, 64, fast_path=True)
-        rs = launch(_region_kernel, DEV, 4, 64, fast_path=False)
+        def reference_kernel(ctx):
+            _region_kernel(ctx, reference.taf_invoke, reference.iact_invoke)
+
+        rf = launch(_region_kernel, DEV, 4, 64)
+        rs = reference.reference_launch(reference_kernel, DEV, 4, 64)
         assert np.array_equal(rf.context.warp_cycles, rs.context.warp_cycles)
         assert vars(rf.counters) == vars(rs.counters)
 
     def test_journal_is_finalized_exactly_once(self):
-        r = launch(_region_kernel, DEV, 2, 64, fast_path=True)
+        r = launch(_region_kernel, DEV, 2, 64)
         ctx = r.context
         # launch() already flushed; re-reading must be stable and the
         # journal must stay empty.
         first = vars(ctx.counters).copy()
         assert ctx._journal == []
         assert vars(ctx.counters) == first
-
-    def test_slow_path_context_has_no_journal_entries(self):
-        r = launch(_region_kernel, DEV, 2, 64, fast_path=False)
-        assert r.context._journal == []
 
     def test_steady_state_misses_frozen(self):
         """After warmup, every region invocation must be served from the
@@ -163,7 +147,7 @@ class TestFastPathContext:
                 taf_invoke(ctx, taf_spec, compute)
                 observed.append(ctx.arena.snapshot())
 
-        launch(kernel, DEV, 2, 64, fast_path=True)
+        launch(kernel, DEV, 2, 64)
         # Warmup covers every taf branch plus one full rotation of the
         # 16-slot per-warp active-vector pool.
         warm = observed[23]
@@ -174,7 +158,7 @@ class TestFastPathContext:
         assert final["hits"] > warm["hits"]
 
     def test_fast_context_exposes_arena(self):
-        r = launch(_region_kernel, DEV, 2, 64, fast_path=True)
+        r = launch(_region_kernel, DEV, 2, 64)
         snap = r.context.arena.snapshot()
         assert snap["buffers"] > 0 and snap["hits"] > snap["misses"]
 

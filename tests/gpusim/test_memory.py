@@ -371,16 +371,16 @@ class TestStreamedFractionalAccounting:
 
     ELEMENTS = 0.3125  # x 8 txns/element = 2.5 txns/warp: exercises rounding
 
-    def _run(self, fast):
-        from repro.gpusim import launch
-
+    def _run(self, launch):
         def kernel(ctx):
             ctx.charge_global_streamed(self.ELEMENTS, itemsize=8)
 
-        return launch(kernel, nvidia_v100(), 2, 64, fast_path=fast)
+        return launch(kernel, nvidia_v100(), 2, 64)
 
     def test_round_once_half_to_even(self):
-        r = self._run(fast=True)
+        from repro.gpusim import launch
+
+        r = self._run(launch)
         c = r.counters
         nwarps = 4
         txns_exact = self.ELEMENTS * 8  # 2.5 per warp
@@ -394,7 +394,11 @@ class TestStreamedFractionalAccounting:
         )
 
     def test_fast_and_slow_agree(self):
-        rf = self._run(fast=True)
-        rs = self._run(fast=False)
+        """Production and the reference oracle count identically."""
+        from repro.gpusim import launch
+        from tests.reference import reference_launch
+
+        rf = self._run(launch)
+        rs = self._run(reference_launch)
         assert vars(rf.counters) == vars(rs.counters)
         assert np.array_equal(rf.context.warp_cycles, rs.context.warp_cycles)
